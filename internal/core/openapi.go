@@ -240,22 +240,21 @@ type pairSolution struct {
 // the first d form the square system, the tail are held-out verification
 // equations.
 func (o *OpenAPI) solveAll(x0 mat.Vec, y0 mat.Vec, pts []mat.Vec, ys []mat.Vec, c, C int) ([]*pairSolution, bool) {
-	d := len(x0)
+	n := len(x0) + 1
 	eqX := make([]mat.Vec, 0, len(pts)+1)
 	eqX = append(eqX, x0)
 	eqX = append(eqX, pts...)
 	eqY := make([]mat.Vec, 0, len(ys)+1)
 	eqY = append(eqY, y0)
 	eqY = append(eqY, ys...)
-
-	rhsFor := func(cp int) mat.Vec {
-		rhs := make(mat.Vec, len(eqX))
-		for i := range eqX {
-			rhs[i] = plm.LogOdds(eqY[i], c, cp)
+	// One right-hand-side column per class pair, in ascending c'.
+	cps := make([]int, 0, C-1)
+	for cp := 0; cp < C; cp++ {
+		if cp != c {
+			cps = append(cps, cp)
 		}
-		return rhs
 	}
-	extras := eqX[d+1:] // verification points
+	out := make([]*pairSolution, C)
 
 	switch o.cfg.Solver {
 	case SolverSharedQR:
@@ -264,12 +263,11 @@ func (o *OpenAPI) solveAll(x0 mat.Vec, y0 mat.Vec, pts []mat.Vec, ys []mat.Vec, 
 		if err != nil {
 			return nil, false
 		}
-		out := make([]*pairSolution, C)
-		for cp := 0; cp < C; cp++ {
-			if cp == c {
-				continue
+		for _, cp := range cps {
+			rhs := make(mat.Vec, len(eqY))
+			for i, y := range eqY {
+				rhs[i] = plm.LogOdds(y, c, cp)
 			}
-			rhs := rhsFor(cp)
 			res, err := qr.ResidualNorm(rhs)
 			if err != nil || res > o.cfg.Tolerance*(1+rhs.NormInf()) {
 				return nil, false
@@ -283,64 +281,88 @@ func (o *OpenAPI) solveAll(x0 mat.Vec, y0 mat.Vec, pts []mat.Vec, ys []mat.Vec, 
 		return out, true
 
 	case SolverPerPairLU:
-		square := designMatrix(eqX[:d+1])
-		out := make([]*pairSolution, C)
-		for cp := 0; cp < C; cp++ {
-			if cp == c {
-				continue
-			}
+		square := designMatrix(eqX[:n])
+		extras := designMatrix(eqX[n:])
+		for _, cp := range cps {
 			// Paper-literal: factor anew for every pair.
 			lu, err := mat.Factor(square)
 			if err != nil {
 				return nil, false
 			}
-			sol, ok := o.solveAndCheck(lu, rhsFor(cp), extras)
-			if !ok {
+			pair := []int{cp}
+			if !o.solveChecked(lu, extras, logOddsMatrix(eqY[:n], c, pair), logOddsMatrix(eqY[n:], c, pair), pair, out) {
 				return nil, false
 			}
-			out[cp] = sol
 		}
 		return out, true
 
 	default: // SolverSharedLU
-		square := designMatrix(eqX[:d+1])
-		lu, err := mat.Factor(square)
+		// The square design matrix is a per-round throwaway: factor it in
+		// place rather than have Factor copy it.
+		lu, err := mat.FactorInPlace(designMatrix(eqX[:n]))
 		if err != nil {
 			return nil, false
 		}
-		out := make([]*pairSolution, C)
-		for cp := 0; cp < C; cp++ {
-			if cp == c {
-				continue
-			}
-			sol, ok := o.solveAndCheck(lu, rhsFor(cp), extras)
-			if !ok {
-				return nil, false
-			}
-			out[cp] = sol
+		if !o.solveChecked(lu, designMatrix(eqX[n:]), logOddsMatrix(eqY[:n], c, cps), logOddsMatrix(eqY[n:], c, cps), cps, out) {
+			return nil, false
 		}
 		return out, true
 	}
 }
 
-// solveAndCheck solves the square system and verifies every held-out
-// consistency equation: extras[i] must satisfy the solution with right-hand
-// side rhs[n+i].
-func (o *OpenAPI) solveAndCheck(lu *mat.LU, rhs mat.Vec, extras []mat.Vec) (*pairSolution, bool) {
+// solveChecked solves the square system for every class pair at once —
+// column j of rhs holds pair cps[j]'s log-odds for the square system, column
+// j of wants those of the held-out equations — and verifies every held-out
+// equation as one product: extras·β must reproduce wants within the
+// tolerance of DESIGN.md §5. On success it stores pair cps[j]'s solution in
+// out[cps[j]].
+func (o *OpenAPI) solveChecked(lu *mat.LU, extras, rhs, wants *mat.Dense, cps []int, out []*pairSolution) bool {
 	n := lu.N() // d+1
-	beta, err := lu.SolveVec(rhs[:n])
-	if err != nil || mat.Vec(beta).HasNaN() {
-		return nil, false
+	beta := mat.NewDense(n, len(cps))
+	if lu.SolveInto(rhs, beta) != nil {
+		return false
 	}
-	dvec := mat.Vec(beta[1:])
-	for i, extra := range extras {
-		pred := beta[0] + dvec.Dot(extra)
-		want := rhs[n+i]
-		if math.Abs(pred-want) > o.cfg.Tolerance*(1+math.Abs(want)+rhs[:n].NormInf()) {
-			return nil, false
+	scale := make([]float64, len(cps)) // each pair's ‖rhs‖∞
+	for i := 0; i < n; i++ {
+		if beta.RawRow(i).HasNaN() {
+			return false
+		}
+		for j, v := range rhs.RawRow(i) {
+			if a := math.Abs(v); a > scale[j] {
+				scale[j] = a
+			}
 		}
 	}
-	return &pairSolution{D: beta[1:], B: beta[0]}, true
+	pred := extras.MulInto(beta, mat.NewDense(extras.Rows(), len(cps)))
+	for i := 0; i < extras.Rows(); i++ {
+		for j, want := range wants.RawRow(i) {
+			if math.Abs(pred.At(i, j)-want) > o.cfg.Tolerance*(1+math.Abs(want)+scale[j]) {
+				return false
+			}
+		}
+	}
+	for j, cp := range cps {
+		sol := &pairSolution{D: make(mat.Vec, n-1), B: beta.At(0, j)}
+		for i := range sol.D {
+			sol.D[i] = beta.At(i+1, j)
+		}
+		out[cp] = sol
+	}
+	return true
+}
+
+// logOddsMatrix returns the right-hand sides ln(y_c / y_{c'}) of the
+// equations whose predictions are ys (rows) for every pair c' in cps
+// (columns) — paper Eq. 2.
+func logOddsMatrix(ys []mat.Vec, c int, cps []int) *mat.Dense {
+	m := mat.NewDense(len(ys), len(cps))
+	for i, y := range ys {
+		row := m.RawRow(i)
+		for j, cp := range cps {
+			row[j] = plm.LogOdds(y, c, cp)
+		}
+	}
+	return m
 }
 
 // designMatrix stacks rows [1, x_i...] — the paper's coefficient matrix A.

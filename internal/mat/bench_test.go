@@ -11,10 +11,7 @@ import (
 func benchSystem(b *testing.B, n int) (*Dense, Vec) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(n)))
-	a := randDense(rng, n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+float64(n))
-	}
+	a := diagDominant(rng, n)
 	rhs := make(Vec, n)
 	for i := range rhs {
 		rhs[i] = rng.NormFloat64()
@@ -44,6 +41,27 @@ func BenchmarkLUFactorSolve_n785(b *testing.B) {
 	}
 	benchLU(b, 785)
 }
+
+// benchLUDesign factors OpenAPI's own coefficient matrix: rows [1, x] for x0
+// and n−1 points of the hypercube of edge 2⁻¹⁰ around it, a shape that
+// pivots, unlike the diagonally dominant benchSystem. It reports the rate
+// at the nominal 2n³/3 flops; allocations are the returned LU's plus, with
+// more than one worker, the goroutine fan-out of each panel's update.
+func benchLUDesign(b *testing.B, n int) {
+	a := designMatrixAt(rand.New(rand.NewSource(int64(n))), n, 0x1p-10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Factor(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	nf := float64(n)
+	b.ReportMetric(2*nf*nf*nf/3*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+func BenchmarkLUFactor_Design65(b *testing.B)  { benchLUDesign(b, 65) }
+func BenchmarkLUFactor_Design785(b *testing.B) { benchLUDesign(b, 785) }
 
 // The shared-RHS path: one factorization, many solves — OpenAPI's inner
 // loop across class pairs.
