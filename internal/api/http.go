@@ -637,8 +637,10 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// do ships one already-encoded payload, retrying transport errors, 5xx
-// responses and body decode failures up to c.retries extra times. A 4xx
+// do ships one request, retrying transport errors, 5xx responses and body
+// decode failures up to c.retries extra times. body opens a fresh request
+// body and reports its exact size; every attempt, and every rewind the
+// transport makes on a lost connection, reads its own. A 4xx
 // response is the server rejecting the request itself — re-sending the
 // same payload can only waste round trips and delay the caller seeing its
 // own mistake — so those return immediately. A done context also returns
@@ -647,7 +649,7 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // 200 responses and must consult the response's own Content-Type, so a
 // JSON answer from a codec-unaware peer decodes fine whatever the request
 // asked for.
-func (c *Client) do(ctx context.Context, path string, payload []byte, decode func(*http.Response) error) error {
+func (c *Client) do(ctx context.Context, path string, body func() (io.ReadCloser, int64), decode func(*http.Response) error) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -656,15 +658,22 @@ func (c *Client) do(ctx context.Context, path string, payload []byte, decode fun
 			}
 			return lastErr
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+path, bytes.NewReader(payload))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+path, nil)
 		if err != nil {
 			return fmt.Errorf("api: build request: %w", err)
+		}
+		var size int64
+		req.Body, size = body()
+		req.ContentLength = size
+		req.GetBody = func() (io.ReadCloser, error) {
+			rc, _ := body()
+			return rc, nil
 		}
 		codec := c.Codec()
 		req.Header.Set("Content-Type", codec.ContentType())
 		req.Header.Set("Accept", wire.AcceptValue(codec, c.f32))
 		c.wireStats.CountRequest(c.binary)
-		c.wireStats.AddBytesOut(int64(len(payload)))
+		c.wireStats.AddBytesOut(size)
 		resp, err := c.httpc.Do(req)
 		if err != nil {
 			lastErr = err
@@ -691,6 +700,59 @@ func (c *Client) do(ctx context.Context, path string, payload []byte, decode fun
 	return lastErr
 }
 
+// bytesBody serves an encoded payload as request bodies.
+func bytesBody(payload []byte) func() (io.ReadCloser, int64) {
+	return func() (io.ReadCloser, int64) {
+		return io.NopCloser(bytes.NewReader(payload)), int64(len(payload))
+	}
+}
+
+// frameBodies serves one matrix as streamed binary frame bodies
+// (wire.FrameBody) and remembers each, so the caller can wait until the
+// transport has closed them all: net/http may still be reading a request
+// body after Do returns, and the rows belong to the caller.
+type frameBodies struct {
+	m      [][]float64
+	f32    bool
+	mu     sync.Mutex
+	first  *wire.FrameBody // validated up front, handed out by the first open
+	opened []*wire.FrameBody
+}
+
+// newFrameBodies rejects a matrix that cannot travel as one frame before
+// any request is built.
+func newFrameBodies(m [][]float64, f32 bool) (*frameBodies, error) {
+	b, err := wire.NewFrameBody(m, f32)
+	if err != nil {
+		return nil, err
+	}
+	return &frameBodies{m: m, f32: f32, first: b}, nil
+}
+
+// open returns a fresh body positioned at the frame's first byte.
+func (f *frameBodies) open() (io.ReadCloser, int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	b := f.first
+	if b == nil {
+		b, _ = wire.NewFrameBody(f.m, f.f32) // m passed newFrameBodies
+	}
+	f.first = nil
+	f.opened = append(f.opened, b)
+	return b, b.Len()
+}
+
+// wait blocks until every body handed out has been closed. A body never
+// handed out (a request abandoned before its first attempt) holds nothing.
+func (f *frameBodies) wait() {
+	f.mu.Lock()
+	opened := f.opened
+	f.mu.Unlock()
+	for _, b := range opened {
+		<-b.Closed()
+	}
+}
+
 // postVec ships a vector payload and decodes a vector response.
 func (c *Client) postVec(ctx context.Context, path, reqField string, v []float64, respField string) ([]float64, error) {
 	var buf bytes.Buffer
@@ -698,7 +760,7 @@ func (c *Client) postVec(ctx context.Context, path, reqField string, v []float64
 		return nil, fmt.Errorf("api: encode request: %w", err)
 	}
 	var out []float64
-	err := c.do(ctx, path, buf.Bytes(), func(resp *http.Response) error {
+	err := c.do(ctx, path, bytesBody(buf.Bytes()), func(resp *http.Response) error {
 		codec := wire.ResponseBodyCodec(resp.Header.Get("Content-Type"))
 		got, err := codec.DecodeVec(&countingReader{r: resp.Body, stats: &c.wireStats}, clientMaxBody, respField)
 		if err != nil {
@@ -710,14 +772,28 @@ func (c *Client) postVec(ctx context.Context, path, reqField string, v []float64
 	return out, err
 }
 
-// postMat ships a matrix payload and decodes a matrix response.
+// postMat ships a matrix payload and decodes a matrix response. On the
+// binary codec the request frame is streamed (wire.FrameBody) rather than
+// staged: rows are encoded as the transport writes them, and postMat
+// returns only once the transport is done with them.
 func (c *Client) postMat(ctx context.Context, path, reqField string, m [][]float64, respField string) ([][]float64, error) {
-	var buf bytes.Buffer
-	if err := c.Codec().EncodeMat(&buf, reqField, m); err != nil {
-		return nil, fmt.Errorf("api: encode request: %w", err)
+	var body func() (io.ReadCloser, int64)
+	if c.binary {
+		frames, err := newFrameBodies(m, c.f32)
+		if err != nil {
+			return nil, fmt.Errorf("api: encode request: %w", err)
+		}
+		defer frames.wait()
+		body = frames.open
+	} else {
+		var buf bytes.Buffer
+		if err := c.Codec().EncodeMat(&buf, reqField, m); err != nil {
+			return nil, fmt.Errorf("api: encode request: %w", err)
+		}
+		body = bytesBody(buf.Bytes())
 	}
 	var out [][]float64
-	err := c.do(ctx, path, buf.Bytes(), func(resp *http.Response) error {
+	err := c.do(ctx, path, body, func(resp *http.Response) error {
 		codec := wire.ResponseBodyCodec(resp.Header.Get("Content-Type"))
 		got, err := codec.DecodeMat(&countingReader{r: resp.Body, stats: &c.wireStats}, clientMaxBody, respField)
 		if err != nil {

@@ -185,21 +185,34 @@ func checkInstance(model plm.Model, x0 mat.Vec, c int) error {
 // interpret runs Algorithm 1 from a known anchor prediction y0. Each
 // iteration issues its d+k sample-set probes as one batch (plm.PredictAll),
 // so a batch-capable or aggregated model sees one round trip per iteration.
+// The design matrix depends only on the points, so its factor runs while
+// the probes are in flight (DESIGN.md §17).
 func (o *OpenAPI) interpret(model plm.Model, x0, y0 mat.Vec, c int) (*plm.Interpretation, error) {
 	d := model.Dim()
 	C := model.Classes()
 	queries := 1 // the anchor probe, issued here or by the caller
 	r := o.cfg.InitialEdge
+	// One design buffer per interpretation, refilled every round: the rows
+	// [1, x] of x0, the d square-system samples and the held-out ones. A
+	// round's factor may live in it, and is dropped before the next refill.
+	design := mat.NewDense(d+1+o.cfg.ExtraChecks, d+1)
+	cps := make([]int, 0, C-1) // one right-hand-side column per pair, ascending c'
+	for cp := 0; cp < C; cp++ {
+		if cp != c {
+			cps = append(cps, cp)
+		}
+	}
 
 	for iter := 1; iter <= o.cfg.MaxIterations; iter++ {
 		cube := sample.NewHypercube(x0, r)
 		pts := cube.SampleN(o.cfg.RNG, d+o.cfg.ExtraChecks)
+		fillDesign(design, x0, pts)
 		// One batch round trip when the API supports it, per-point probes
 		// otherwise; either way each point costs one query.
-		ys := plm.PredictAll(model, pts)
+		ys, f := o.probeWhileFactoring(model, pts, design)
 		queries += len(pts)
 
-		pairs, ok := o.solveAll(x0, y0, pts, ys, c, C)
+		pairs, ok := o.solve(f, design, y0, ys, c, cps)
 		if !ok {
 			r /= o.cfg.ShrinkFactor
 			continue
@@ -229,50 +242,82 @@ func (o *OpenAPI) interpret(model plm.Model, x0, y0 mat.Vec, c int) (*plm.Interp
 	return nil, fmt.Errorf("%w (instance may lie on a region boundary)", ErrNoConvergence)
 }
 
+// probeWhileFactoring probes pts on the caller's goroutine while a second
+// goroutine factors the round's design matrix, and returns once both are
+// done. The factor goroutine is joined on every way out, a panicking model
+// included, so none outlives the round.
+func (o *OpenAPI) probeWhileFactoring(model plm.Model, pts []mat.Vec, design *mat.Dense) ([]mat.Vec, roundFactor) {
+	var f roundFactor
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f = o.factor(design)
+	}()
+	defer func() { <-done }() // a panicking model unwinds through here
+	ys := plm.PredictAll(model, pts)
+	<-done
+	return ys, f
+}
+
 // pairSolution is one recovered core-parameter tuple.
 type pairSolution struct {
 	D mat.Vec
 	B float64
 }
 
-// solveAll recovers (D_{c,c'}, B_{c,c'}) for every c' ≠ c from one sample
-// set, or reports inconsistency. pts holds d + ExtraChecks points: x0 and
-// the first d form the square system, the tail are held-out verification
-// equations.
-func (o *OpenAPI) solveAll(x0 mat.Vec, y0 mat.Vec, pts []mat.Vec, ys []mat.Vec, c, C int) ([]*pairSolution, bool) {
-	n := len(x0) + 1
-	eqX := make([]mat.Vec, 0, len(pts)+1)
-	eqX = append(eqX, x0)
-	eqX = append(eqX, pts...)
+// roundFactor is the points-only half of a round: the factorization of the
+// design matrix, which needs no answer from the API.
+type roundFactor struct {
+	lu  *mat.LU // SolverSharedLU: the square system, factored in place
+	qr  *mat.QR // SolverSharedQR: the full system
+	err error   // a numerically singular draw
+}
+
+// factor runs the factor step of the configured solver on a round's design
+// matrix (see fillDesign). SolverPerPairLU factors nothing here: it is the
+// paper-literal cost baseline and factors anew for every pair in solve.
+func (o *OpenAPI) factor(design *mat.Dense) roundFactor {
+	switch o.cfg.Solver {
+	case SolverSharedQR:
+		qr, err := mat.FactorQR(design)
+		return roundFactor{qr: qr, err: err}
+	case SolverPerPairLU:
+		return roundFactor{}
+	default: // SolverSharedLU
+		// The square design matrix is a per-round throwaway: factor it in
+		// place rather than have Factor copy it.
+		lu, err := mat.FactorInPlace(design.RowsView(design.Cols()))
+		return roundFactor{lu: lu, err: err}
+	}
+}
+
+// solve is the solve-and-check step: it recovers (D_{c,c'}, B_{c,c'}) for
+// every c' in cps from the round's factor f and the answers, or reports
+// inconsistency. design is the round's design matrix after factor ran; ys
+// answers its rows after x0's: the first d form the square system with
+// y0, the tail are held-out verification equations.
+func (o *OpenAPI) solve(f roundFactor, design *mat.Dense, y0 mat.Vec, ys []mat.Vec, c int, cps []int) ([]*pairSolution, bool) {
+	if f.err != nil {
+		return nil, false
+	}
+	n := design.Cols() // d+1
 	eqY := make([]mat.Vec, 0, len(ys)+1)
 	eqY = append(eqY, y0)
 	eqY = append(eqY, ys...)
-	// One right-hand-side column per class pair, in ascending c'.
-	cps := make([]int, 0, C-1)
-	for cp := 0; cp < C; cp++ {
-		if cp != c {
-			cps = append(cps, cp)
-		}
-	}
-	out := make([]*pairSolution, C)
+	out := make([]*pairSolution, len(cps)+1) // indexed by class
 
 	switch o.cfg.Solver {
 	case SolverSharedQR:
-		full := designMatrix(eqX) // (d+1+k) x (d+1)
-		qr, err := mat.FactorQR(full)
-		if err != nil {
-			return nil, false
-		}
 		for _, cp := range cps {
 			rhs := make(mat.Vec, len(eqY))
 			for i, y := range eqY {
 				rhs[i] = plm.LogOdds(y, c, cp)
 			}
-			res, err := qr.ResidualNorm(rhs)
+			res, err := f.qr.ResidualNorm(rhs)
 			if err != nil || res > o.cfg.Tolerance*(1+rhs.NormInf()) {
 				return nil, false
 			}
-			beta, err := qr.SolveVec(rhs)
+			beta, err := f.qr.SolveVec(rhs)
 			if err != nil || mat.Vec(beta).HasNaN() {
 				return nil, false
 			}
@@ -281,8 +326,7 @@ func (o *OpenAPI) solveAll(x0 mat.Vec, y0 mat.Vec, pts []mat.Vec, ys []mat.Vec, 
 		return out, true
 
 	case SolverPerPairLU:
-		square := designMatrix(eqX[:n])
-		extras := designMatrix(eqX[n:])
+		square, extras := design.RowsView(n), design.RowsFrom(n)
 		for _, cp := range cps {
 			// Paper-literal: factor anew for every pair.
 			lu, err := mat.Factor(square)
@@ -297,13 +341,7 @@ func (o *OpenAPI) solveAll(x0 mat.Vec, y0 mat.Vec, pts []mat.Vec, ys []mat.Vec, 
 		return out, true
 
 	default: // SolverSharedLU
-		// The square design matrix is a per-round throwaway: factor it in
-		// place rather than have Factor copy it.
-		lu, err := mat.FactorInPlace(designMatrix(eqX[:n]))
-		if err != nil {
-			return nil, false
-		}
-		if !o.solveChecked(lu, designMatrix(eqX[n:]), logOddsMatrix(eqY[:n], c, cps), logOddsMatrix(eqY[n:], c, cps), cps, out) {
+		if !o.solveChecked(f.lu, design.RowsFrom(n), logOddsMatrix(eqY[:n], c, cps), logOddsMatrix(eqY[n:], c, cps), cps, out) {
 			return nil, false
 		}
 		return out, true
@@ -365,16 +403,18 @@ func logOddsMatrix(ys []mat.Vec, c int, cps []int) *mat.Dense {
 	return m
 }
 
-// designMatrix stacks rows [1, x_i...] — the paper's coefficient matrix A.
-func designMatrix(xs []mat.Vec) *mat.Dense {
-	d := len(xs[0])
-	m := mat.NewDense(len(xs), d+1)
-	for i, x := range xs {
-		row := m.RawRow(i)
+// fillDesign writes the paper's coefficient matrix A into design: row 0 is
+// [1, x0], row i+1 is [1, pts[i]].
+func fillDesign(design *mat.Dense, x0 mat.Vec, pts []mat.Vec) {
+	setRow := func(i int, x mat.Vec) {
+		row := design.RawRow(i)
 		row[0] = 1
 		copy(row[1:], x)
 	}
-	return m
+	setRow(0, x0)
+	for i, p := range pts {
+		setRow(i+1, p)
+	}
 }
 
 // assembleDc averages the recovered pair differences into D_c (Eq. 1).

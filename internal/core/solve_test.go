@@ -46,6 +46,33 @@ func solveAllPerPairReference(tol float64, x0, y0 mat.Vec, pts, ys []mat.Vec, c,
 	return out, true
 }
 
+// solveAll runs one round's factor and solve steps back to back on a fresh
+// design buffer: the production halves, without the overlap.
+func (o *OpenAPI) solveAll(x0, y0 mat.Vec, pts, ys []mat.Vec, c, C int) ([]*pairSolution, bool) {
+	design := mat.NewDense(len(pts)+1, len(x0)+1)
+	fillDesign(design, x0, pts)
+	var cps []int
+	for cp := 0; cp < C; cp++ {
+		if cp != c {
+			cps = append(cps, cp)
+		}
+	}
+	return o.solve(o.factor(design), design, y0, ys, c, cps)
+}
+
+// designMatrix stacks rows [1, x_i...] — the paper's coefficient matrix A,
+// freshly allocated.
+func designMatrix(xs []mat.Vec) *mat.Dense {
+	d := len(xs[0])
+	m := mat.NewDense(len(xs), d+1)
+	for i, x := range xs {
+		row := m.RawRow(i)
+		row[0] = 1
+		copy(row[1:], x)
+	}
+	return m
+}
+
 // TestSolveBatchedMatchesPerPairLoop: the batched solve and held-out check
 // make the same accept/reject decision as the per-pair loop on sample sets
 // from hypercubes that straddle many regions down to ones inside x0's, and

@@ -140,6 +140,15 @@ func (m *Dense) RowsView(r int) *Dense {
 	return &Dense{rows: r, cols: m.cols, data: m.data[:r*m.cols]}
 }
 
+// RowsFrom returns rows [i, Rows()) of m as a matrix sharing m's storage,
+// the tail counterpart of RowsView.
+func (m *Dense) RowsFrom(i int) *Dense {
+	if i < 0 || i > m.rows {
+		panic(fmt.Sprintf("mat: RowsFrom %d out of range %d", i, m.rows))
+	}
+	return &Dense{rows: m.rows - i, cols: m.cols, data: m.data[i*m.cols:]}
+}
+
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	out := NewDense(m.rows, m.cols)
@@ -158,21 +167,10 @@ func (m *Dense) T() *Dense {
 	return out
 }
 
-// MulVec returns m * x.
+// MulVec returns m * x. It is MulVecInto into a fresh vector, so single
+// predictions run the same kernel whatever the code around them.
 func (m *Dense) MulVec(x Vec) Vec {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("mat: MulVec length %d != cols %d", len(x), m.cols))
-	}
-	out := make(Vec, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, a := range row {
-			s += a * x[j]
-		}
-		out[i] = s
-	}
-	return out
+	return m.MulVecInto(x, make(Vec, m.rows))
 }
 
 // MulVecT returns m^T * x without materializing the transpose.

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -82,6 +83,43 @@ func TestDenseMulVec(t *testing.T) {
 	if gotT[0] != 23 || gotT[1] != 34 {
 		t.Fatalf("MulVecT = %v", gotT)
 	}
+}
+
+// mulVecLoop is the scalar loop MulVec ran before it became MulVecInto:
+// one ascending-j dot product per output row.
+func mulVecLoop(m *Dense, x Vec) Vec {
+	out := make(Vec, m.rows)
+	for i := 0; i < m.rows; i++ {
+		var s float64
+		for j, a := range m.data[i*m.cols : (i+1)*m.cols] {
+			s += a * x[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestDenseMulVecMatchesScalarLoop: MulVec is bit-identical to the scalar
+// loop on random shapes from 1×1 to 100×784, and on empty ones, on every
+// kernel tier.
+func TestDenseMulVecMatchesScalarLoop(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tier KernelTier) {
+		rng := rand.New(rand.NewSource(11))
+		shapes := [][2]int{{0, 5}, {3, 0}, {1, 1}, {1, 784}, {100, 1}, {100, 784}, {10, 64}, {7, 13}}
+		for i := 0; i < 20; i++ {
+			shapes = append(shapes, [2]int{1 + rng.Intn(100), 1 + rng.Intn(784)})
+		}
+		for _, sh := range shapes {
+			m := randDense(rng, sh[0], sh[1])
+			x := randDense(rng, 1, sh[1]).data
+			got, want := m.MulVec(x), mulVecLoop(m, x)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%dx%d row %d: MulVec %v, scalar loop %v", sh[0], sh[1], i, got[i], want[i])
+				}
+			}
+		}
+	})
 }
 
 func TestDenseMul(t *testing.T) {

@@ -42,8 +42,8 @@ import (
 // MulInto packs B transposed; MulATInto packs both operands transposed (so
 // batched gradient GEMMs run on the same packed kernels as forwards);
 // MulVecInto runs as a 1-row tile whose 4-wide column tail carries four
-// independent accumulator chains. Only MulVec/MulVecT, the allocating
-// convenience forms, stay on plain scalar loops.
+// independent accumulator chains, and MulVec is MulVecInto into a fresh
+// vector. Only MulVecT stays on a plain scalar loop.
 
 // gemmWorkers caps the goroutines a single large multiply may fan out to.
 // It defaults to GOMAXPROCS; SetWorkers(1) forces serial execution. Every
@@ -115,11 +115,12 @@ func getScratchDense(r, c int) *Dense {
 func putScratchDense(d *Dense) { denseScratchPool.Put(d) }
 
 // MulVecInto computes dst = m * x without allocating; dst must have length
-// m.Rows() and must not alias x or m. It returns dst. Results are
-// bit-identical to MulVec. The product runs as a 1-row tile through the
-// shared gemmBT kernel — dst viewed 1×rows equals x viewed 1×k times mᵀ —
-// so single-instance predictions get the same 4-chain column tail the
-// batched path uses instead of one serial dot product per output.
+// m.Rows() and must not alias x or m. It returns dst. Each element is one
+// ascending-k dot product, bit-identical to the scalar loop. The product
+// runs as a 1-row tile through the shared gemmBT kernel — dst viewed
+// 1×rows equals x viewed 1×k times mᵀ — so single-instance predictions get
+// the same 4-chain column tail the batched path uses instead of one serial
+// dot product per output.
 func (m *Dense) MulVecInto(x, dst Vec) Vec {
 	if len(x) != m.cols {
 		panic(fmt.Sprintf("mat: MulVecInto length %d != cols %d", len(x), m.cols))

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Binary frame layout (all integers little-endian):
@@ -82,6 +84,27 @@ func (Binary) DecodeMat(r io.Reader, limit int64, _ string) ([][]float64, error)
 
 // WriteFrame writes m as one binary frame. All rows must share a width.
 func WriteFrame(w io.Writer, m [][]float64, f32 bool) error {
+	cols, err := frameCols(m)
+	if err != nil {
+		return err
+	}
+	hdr := frameHeaderFor(len(m), cols, f32)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	buf := make([]byte, cols*elemSize(f32))
+	for _, row := range m {
+		encodeRow(buf, row, f32)
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// frameCols checks that m can travel as one frame — every row the same
+// width, both dims within uint32 — and returns its width.
+func frameCols(m [][]float64) (int, error) {
 	rows := len(m)
 	cols := 0
 	if rows > 0 {
@@ -89,12 +112,17 @@ func WriteFrame(w io.Writer, m [][]float64, f32 bool) error {
 	}
 	for i, row := range m {
 		if len(row) != cols {
-			return fmt.Errorf("wire: ragged frame: row %d has %d cols, want %d", i, len(row), cols)
+			return 0, fmt.Errorf("wire: ragged frame: row %d has %d cols, want %d", i, len(row), cols)
 		}
 	}
 	if int64(rows) > math.MaxUint32 || int64(cols) > math.MaxUint32 {
-		return fmt.Errorf("wire: frame dims %dx%d exceed uint32", rows, cols)
+		return 0, fmt.Errorf("wire: frame dims %dx%d exceed uint32", rows, cols)
 	}
+	return cols, nil
+}
+
+// frameHeaderFor encodes the 16-byte header of a rows×cols frame.
+func frameHeaderFor(rows, cols int, f32 bool) [frameHeader]byte {
 	var hdr [frameHeader]byte
 	copy(hdr[:4], frameMagic)
 	hdr[4] = FrameVersion
@@ -103,29 +131,139 @@ func WriteFrame(w io.Writer, m [][]float64, f32 bool) error {
 	}
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(rows))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(cols))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	elem := 8
+	return hdr
+}
+
+// elemSize is the payload bytes per element.
+func elemSize(f32 bool) int {
 	if f32 {
-		elem = 4
+		return 4
 	}
-	buf := make([]byte, cols*elem)
-	for _, row := range m {
-		if f32 {
-			for j, v := range row {
-				binary.LittleEndian.PutUint32(buf[4*j:], math.Float32bits(float32(v)))
-			}
-		} else {
-			for j, v := range row {
-				binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
-			}
+	return 8
+}
+
+// encodeRow writes row's payload into dst, which holds exactly
+// len(row)·elemSize(f32) bytes.
+func encodeRow(dst []byte, row []float64, f32 bool) {
+	if f32 {
+		for j, v := range row {
+			binary.LittleEndian.PutUint32(dst[4*j:], math.Float32bits(float32(v)))
 		}
-		if _, err := w.Write(buf); err != nil {
-			return err
+		return
+	}
+	for j, v := range row {
+		binary.LittleEndian.PutUint64(dst[8*j:], math.Float64bits(v))
+	}
+}
+
+// errBodyClosed is what a Read on a closed FrameBody returns.
+var errBodyClosed = errors.New("wire: read on closed frame body")
+
+// FrameBody streams the frame WriteFrame would write, as an io.ReadCloser
+// that encodes each row only when a Read reaches it — straight into the
+// caller's buffer when a whole row fits — so the frame is never staged in
+// memory. It is the request body of a binary matrix POST.
+//
+// Lifetime: the body reads the caller's rows in place, so they must not
+// change until Close. Close may come from any goroutine — an HTTP
+// transport closes a request body on its own schedule, possibly after the
+// response has arrived — and once it returns the body never touches the
+// rows again. Closed lets the rows' owner wait for that moment.
+type FrameBody struct {
+	mu      sync.Mutex
+	m       [][]float64 // nil once closed
+	f32     bool
+	size    int64
+	hdr     [frameHeader]byte
+	pending []byte // encoded bytes not yet read: the header or a row's tail
+	rowBuf  []byte // one encoded row, for a Read too short to take it whole
+	next    int    // next row to encode
+	closed  chan struct{}
+}
+
+// NewFrameBody builds a streamed body for m. A matrix that cannot travel
+// as one frame (ragged rows, dims past uint32) is rejected here, before
+// any byte is read.
+func NewFrameBody(m [][]float64, f32 bool) (*FrameBody, error) {
+	cols, err := frameCols(m)
+	if err != nil {
+		return nil, err
+	}
+	b := &FrameBody{
+		m:      m,
+		f32:    f32,
+		size:   frameHeader + int64(len(m))*int64(cols)*int64(elemSize(f32)),
+		hdr:    frameHeaderFor(len(m), cols, f32),
+		closed: make(chan struct{}),
+	}
+	b.pending = b.hdr[:]
+	return b, nil
+}
+
+// Len returns the exact frame size in bytes: the request's Content-Length.
+func (b *FrameBody) Len() int64 { return b.size }
+
+// Read implements io.Reader.
+func (b *FrameBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.isClosed() {
+		return 0, errBodyClosed
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	n := 0
+	for len(p) > 0 {
+		if len(b.pending) == 0 {
+			if b.next == len(b.m) {
+				break
+			}
+			row := b.m[b.next]
+			rowLen := len(row) * elemSize(b.f32)
+			b.next++
+			if len(p) >= rowLen {
+				encodeRow(p[:rowLen], row, b.f32)
+				p, n = p[rowLen:], n+rowLen
+				continue
+			}
+			if b.rowBuf == nil {
+				b.rowBuf = make([]byte, rowLen)
+			}
+			encodeRow(b.rowBuf, row, b.f32)
+			b.pending = b.rowBuf
 		}
+		k := copy(p, b.pending)
+		b.pending, p, n = b.pending[k:], p[k:], n+k
+	}
+	if n == 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// Close ends the body's use of the rows; later Reads fail with
+// errBodyClosed. It is idempotent.
+func (b *FrameBody) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.isClosed() {
+		b.m = nil
+		close(b.closed)
 	}
 	return nil
+}
+
+// Closed returns a channel that is closed once Close has run.
+func (b *FrameBody) Closed() <-chan struct{} { return b.closed }
+
+func (b *FrameBody) isClosed() bool {
+	select {
+	case <-b.closed:
+		return true
+	default:
+		return false
+	}
 }
 
 // ReadFrame reads one binary frame, spending at most limit bytes
@@ -183,10 +321,7 @@ func readFrame(lr *limited) ([][]float64, error) {
 	f32 := hdr[5]&flagFloat32 != 0
 	rows := int64(binary.LittleEndian.Uint32(hdr[8:]))
 	cols := int64(binary.LittleEndian.Uint32(hdr[12:]))
-	elem := int64(8)
-	if f32 {
-		elem = 4
-	}
+	elem := int64(elemSize(f32))
 	// Admission control before any allocation: the declared payload — with
 	// every row costing at least one byte, so a zero-col frame cannot claim
 	// four billion rows for free — must fit the remaining budget.
