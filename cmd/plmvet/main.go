@@ -1,6 +1,7 @@
 // Command plmvet is the repository's static-analysis gate: it runs the
-// internal/analysis suite (detfloat, atomicfield, lockheld, kernelpurity)
-// over Go packages and fails when any invariant is violated.
+// internal/analysis suite (detfloat, atomicfield, lockheld, kernelpurity,
+// roundedproduct) over Go packages and fails when any invariant is
+// violated.
 //
 // Two modes share the analyzers and the allow-annotation filter:
 //

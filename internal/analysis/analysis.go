@@ -1,5 +1,5 @@
 // Package analysis is the repository's static-analysis suite: a small
-// go/analysis-shaped framework plus the four plmvet analyzers that turn the
+// go/analysis-shaped framework plus the five plmvet analyzers that turn the
 // paper's exactness-and-consistency contract into machine-checked rules.
 //
 // The reproduction's headline guarantee — the closed-form (W, b) extracted
@@ -92,7 +92,7 @@ func NewTypesInfo() *types.Info {
 
 // All returns the plmvet analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detfloat, Atomicfield, Lockheld, Kernelpurity}
+	return []*Analyzer{Detfloat, Atomicfield, Lockheld, Kernelpurity, Roundedproduct}
 }
 
 // ByName resolves a comma-separated analyzer selection ("detfloat,lockheld")

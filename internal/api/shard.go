@@ -72,8 +72,11 @@ type Shard struct {
 
 // ShardConfig tunes the router. The zero value gives sensible defaults.
 type ShardConfig struct {
-	// MinChunk is the smallest chunk handed to one backend (default 4):
-	// below it, dispatch overhead beats the batched forward's GEMM win.
+	// MinChunk is the smallest chunk handed to one backend: below it,
+	// dispatch overhead beats the batched forward's GEMM win. The default
+	// derives it from the row width, so a chunk carries at least
+	// minChunkBytes of input (64 rows at d = 64, 6 at d = 784, never fewer
+	// than 4).
 	MinChunk int
 	// ChunkFactor is how many chunks each backend would get of an evenly
 	// split batch (default 2). More chunks re-balance better when backends
@@ -100,9 +103,6 @@ type ShardConfig struct {
 }
 
 func (c *ShardConfig) setDefaults() {
-	if c.MinChunk <= 0 {
-		c.MinChunk = 4
-	}
 	if c.ChunkFactor <= 0 {
 		c.ChunkFactor = 2
 	}
@@ -588,20 +588,36 @@ func (s *Shard) pickLeastLoaded(ctx context.Context, tried map[*backendState]boo
 	return best
 }
 
+// minChunkBytes is the input a default-sized chunk carries at least. A
+// chunk costs one dispatch whatever its size, so at d = 64 a 67-row probe
+// split four ways paid two sequential waves per backend (~0.5 ms of a
+// 1.45 ms round) for chunks the forward finishes in microseconds.
+const minChunkBytes = 32 << 10
+
+// minChunk is the chunk floor for rows of width d: MinChunk if set, else
+// enough rows to carry minChunkBytes of float64 input, and at least 4.
+func (s *Shard) minChunk(d int) int {
+	if s.cfg.MinChunk > 0 {
+		return s.cfg.MinChunk
+	}
+	return max(4, (minChunkBytes/8+d-1)/max(d, 1))
+}
+
 // span is one contiguous chunk of a batch.
 type span struct {
 	lo, hi int
 }
 
-// chunkSpans splits n instances into roughly ChunkFactor chunks per worker,
-// each at least MinChunk wide — small enough to re-balance across uneven
-// backends, wide enough that every chunk still rides the batched forward.
-// On batches too small for that many MinChunk-wide chunks, the floor yields
-// to an even per-worker split so every backend still participates.
-func (s *Shard) chunkSpans(n, workers int) []span {
+// chunkSpans splits n instances of width d into roughly ChunkFactor chunks
+// per worker, each at least the chunk floor (minChunk) wide — small enough
+// to re-balance across uneven backends, wide enough that every chunk still
+// rides the batched forward. On batches too small for that many floor-wide
+// chunks, the floor yields to an even per-worker split so every backend
+// still participates.
+func (s *Shard) chunkSpans(n, d, workers int) []span {
 	chunk := (n + workers*s.cfg.ChunkFactor - 1) / (workers * s.cfg.ChunkFactor)
-	if chunk < s.cfg.MinChunk {
-		chunk = s.cfg.MinChunk
+	if floor := s.minChunk(d); chunk < floor {
+		chunk = floor
 		if even := (n + workers - 1) / workers; even < chunk {
 			chunk = even
 		}
@@ -638,7 +654,7 @@ func (s *Shard) PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]mat.Vec, e
 	if len(elig) == 0 {
 		return nil, fmt.Errorf("api: shard has no backends")
 	}
-	spans := s.chunkSpans(len(xs), len(elig))
+	spans := s.chunkSpans(len(xs), len(xs[0]), len(elig))
 	out := make([]mat.Vec, len(xs))
 	if len(elig) == 1 || len(spans) == 1 {
 		if err := s.runSpans(ctx, xs, out, spans, elig); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -425,6 +426,35 @@ func TestShardedServerReportsPerReplicaStats(t *testing.T) {
 	for r, q := range s.ReplicaQueries() {
 		if q != 2 {
 			t.Fatalf("replica %d served %d, want 2", r, q)
+		}
+	}
+}
+
+// TestChunkSpansFloorFromRowWidth pins the default chunk floor: a chunk
+// carries at least 32 KiB of input, so a d = 64 probe of 67 rows goes out
+// as one chunk per backend (one dispatch wave) while the d = 784 workloads
+// keep their four chunks. An explicit MinChunk still wins.
+func TestChunkSpansFloorFromRowWidth(t *testing.T) {
+	cases := []struct {
+		name           string
+		minChunk       int
+		n, d, backends int
+		want           []span
+	}{
+		{"d64 probe", 0, 67, 64, 2, []span{{0, 34}, {34, 67}}},
+		{"d64 wide batch", 0, 512, 64, 2, []span{{0, 128}, {128, 256}, {256, 384}, {384, 512}}},
+		{"d784 probe", 0, 786, 784, 2, []span{{0, 197}, {197, 394}, {394, 591}, {591, 786}}},
+		{"d784 batch", 0, 256, 784, 2, []span{{0, 64}, {64, 128}, {128, 192}, {192, 256}}},
+		{"d784 small", 0, 20, 784, 2, []span{{0, 6}, {6, 12}, {12, 18}, {18, 20}}},
+		{"wide rows floor 4", 0, 16, 4096, 2, []span{{0, 4}, {4, 8}, {8, 12}, {12, 16}}},
+		{"explicit MinChunk", 4, 67, 64, 2, []span{{0, 17}, {17, 34}, {34, 51}, {51, 67}}},
+		{"one backend", 0, 67, 64, 1, []span{{0, 64}, {64, 67}}},
+	}
+	for _, c := range cases {
+		s := NewDynamicShard(ShardConfig{MinChunk: c.minChunk})
+		got := s.chunkSpans(c.n, c.d, c.backends)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: chunkSpans(%d, d=%d, %d) = %v, want %v", c.name, c.n, c.d, c.backends, got, c.want)
 		}
 	}
 }

@@ -79,6 +79,26 @@ func BenchmarkLUSolveOnly_n257(b *testing.B) {
 	}
 }
 
+// BenchmarkLUSolveInto_785x9 is the interpreter's solve: the C−1 = 9 class
+// pairs of a 10-class model against one n = 785 design factor, all
+// right-hand sides in one call.
+func BenchmarkLUSolveInto_785x9(b *testing.B) {
+	rng := rand.New(rand.NewSource(785))
+	f, err := Factor(designMatrixAt(rng, 785, 0x1p-10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rhs := randDense(rng, 785, 9)
+	x := NewDense(785, 9)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.SolveInto(rhs, x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchQR(b *testing.B, rows, cols int) {
 	rng := rand.New(rand.NewSource(int64(rows)))
 	a := randDense(rng, rows, cols)
@@ -169,8 +189,9 @@ func BenchmarkMulEpilogue_256x784x256(b *testing.B) {
 }
 
 // The serial variant makes the fused path's steady-state allocation count
-// visible (0 allocs/op into pooled scratch); the parallel variant's only
-// allocations are its per-call worker goroutines.
+// visible (0 allocs/op into pooled scratch) and reports the one-core GEMM
+// rate; the parallel variant's only allocations are its per-call worker
+// goroutines.
 func BenchmarkMulEpilogueSerial_256x784x256(b *testing.B) {
 	x, w, dst, epi := benchEpilogueSetup(b)
 	prev := SetWorkers(1)
@@ -181,6 +202,7 @@ func BenchmarkMulEpilogueSerial_256x784x256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x.MulBTIntoEpilogue(w, dst, epi)
 	}
+	b.ReportMetric(2*256*784*256*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 // BenchmarkMulNaive_256x784x256 is the pre-PR-3 triple loop, kept as the

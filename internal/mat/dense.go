@@ -186,7 +186,7 @@ func (m *Dense) MulVecT(x Vec) Vec {
 			continue
 		}
 		for j, a := range row {
-			out[j] += a * xi
+			out[j] += float64(a * xi)
 		}
 	}
 	return out

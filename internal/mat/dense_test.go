@@ -92,7 +92,7 @@ func mulVecLoop(m *Dense, x Vec) Vec {
 	for i := 0; i < m.rows; i++ {
 		var s float64
 		for j, a := range m.data[i*m.cols : (i+1)*m.cols] {
-			s += a * x[j]
+			s += float64(a * x[j])
 		}
 		out[i] = s
 	}

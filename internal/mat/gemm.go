@@ -25,17 +25,21 @@ import (
 // dispatch ladder is selected by ActiveKernelTier, highest supported tier
 // first, with lower tiers handling the remainders.
 //
-//	TierAVX512  amd64  dotPack8x4: 8 packed A rows × 4 B rows per call,
-//	                   one ZMM lane per A row (gemm_amd64.s)
+//	TierAVX512  amd64  dotPack16x4: 16 packed A rows × 4 B rows per call,
+//	                   two ZMM of A and eight accumulator chains per k
+//	                   step; dotPack8x4 (one ZMM) for the 8-row remainder
+//	                   (gemm_amd64.s)
 //	TierAVX2    amd64  dotPack4x4: 4 packed A rows × 4 B rows per call,
 //	                   one YMM lane per A row (gemm_amd64.s)
 //	TierNEON    arm64  dotPack4x4: 4 packed A rows × 4 B rows per call,
 //	                   two 2-lane vectors per A-row quad (gemm_arm64.s)
 //	TierScalar  all    pure-Go 4x2 register tiles plus a 1-row×4-col tail
 //
-// Every assembly kernel is mul-then-add on purpose — no FMA, which rounds
-// once where the scalar path rounds twice — and the pure-Go fallbacks keep
-// the same shape (enforced by the kernelpurity analyzer, DESIGN.md §11).
+// The LU's level-2 kernels (gemm_level2.go) have AVX2 and AVX-512 rungs
+// too; arm64 runs them in Go. Every assembly kernel is mul-then-add on
+// purpose — no FMA, which rounds once where the scalar path rounds twice —
+// and the pure-Go fallbacks keep the same shape (enforced by the
+// kernelpurity and roundedproduct analyzers, DESIGN.md §11, §18).
 //
 // Dispatch coverage notes: MulBTInto, MulInto, MulATInto and MulVecInto all
 // route through gemmBT and therefore through the packed microkernels.
@@ -130,7 +134,7 @@ func (m *Dense) MulVecInto(x, dst Vec) Vec {
 	}
 	a := Dense{rows: 1, cols: m.cols, data: x}
 	d := Dense{rows: 1, cols: m.rows, data: dst}
-	gemmBT(&d, &a, m, 0, 1, nil)
+	gemmBT(&d, &a, m, 0, 1, nil, false)
 	return dst
 }
 
@@ -170,9 +174,9 @@ func (m *Dense) MulInto(b, dst *Dense) *Dense {
 	}
 	flops := m.rows * m.cols * b.cols
 	if w := workers(); w > 1 && flops >= parallelFlopCutoff && m.rows > 1 {
-		parallelRows(m.rows, w, func(lo, hi int) { gemmBT(dst, m, bt, lo, hi, nil) })
+		parallelRows(m.rows, w, func(lo, hi int) { gemmBT(dst, m, bt, lo, hi, nil, false) })
 	} else {
-		gemmBT(dst, m, bt, 0, m.rows, nil)
+		gemmBT(dst, m, bt, 0, m.rows, nil, false)
 	}
 	putScratchDense(bt)
 	return dst
@@ -221,9 +225,9 @@ func (m *Dense) MulATInto(b, dst *Dense) *Dense {
 	}
 	flops := m.cols * m.rows * b.cols
 	if w := workers(); w > 1 && flops >= parallelFlopCutoff && at.rows > 1 {
-		parallelRows(at.rows, w, func(lo, hi int) { gemmBT(dst, at, bt, lo, hi, nil) })
+		parallelRows(at.rows, w, func(lo, hi int) { gemmBT(dst, at, bt, lo, hi, nil, false) })
 	} else {
-		gemmBT(dst, at, bt, 0, at.rows, nil)
+		gemmBT(dst, at, bt, 0, at.rows, nil, false)
 	}
 	putScratchDense(bt)
 	putScratchDense(at)
@@ -245,8 +249,9 @@ func checkNoAlias(op string, dst *Dense, operands ...*Dense) {
 
 // parallelRows splits [0, rows) into one contiguous span per worker and runs
 // work on each concurrently. Spans are aligned to the 4-row register tile so
-// every tile stays within one worker. (An AVX-512 8-row tile split across a
-// span boundary simply reforms as two 4-row tiles — same chains, same bits.)
+// every tile stays within one worker. (An AVX-512 16- or 8-row tile split
+// across a span boundary simply reforms as smaller tiles — same chains,
+// same bits.)
 func parallelRows(rows, w int, work func(lo, hi int)) {
 	if w > rows {
 		w = rows
@@ -268,104 +273,42 @@ func parallelRows(rows, w int, work func(lo, hi int)) {
 	wg.Wait()
 }
 
-// gemmBT fills dst rows [i0, i1) with a · bᵀ and, when epi is non-nil,
+// gemmBT fills rows [i0, i1) of dst with a · bᵀ and, when epi is non-nil,
 // applies the fused epilogue to each row block as soon as its accumulator
-// chains have committed — while the block is still cache-hot. The dispatch
-// ladder runs highest active tier first (8-row AVX-512 pack, then the 4-row
-// AVX2/NEON pack, then pure-Go 4x2 register tiles, then single rows with a
-// 4-wide column tail); lower rungs pick up the row remainders of higher
-// ones. Every schedule evaluates every output element as one ascending-k
-// mul-then-add chain, so the bits match on all of them.
-func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue) {
+// chains have committed — while the block is still cache-hot. With sub set
+// it subtracts the product instead (dst −= a · bᵀ, epi nil): the LU's
+// trailing update, one subtraction of each finished chain, as a separate
+// product-then-subtract pass would do. dst may be a strided view: its cols
+// is the row stride, only the first b.rows columns of a row are written,
+// and its data need only reach the last of them.
+//
+// The dispatch ladder runs the highest active tier first (the 16- and
+// 8-row AVX-512 packs, then the 4-row AVX2/NEON pack, then pure-Go 4x2
+// register tiles, then single rows with a 4-wide column tail); lower rungs
+// pick up the row remainders of higher ones. Every schedule evaluates
+// every output element as one ascending-k mul-then-add chain, so the bits
+// match on all of them.
+func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
 	k := a.cols
 	n := b.rows
 	i := i0
 	tier := ActiveKernelTier()
-	if tier >= TierAVX512 && k > 0 && n > 0 && i+8 <= i1 {
-		sp := getScratch(8 * k)
-		pack := (*sp)[:8*k]
-		var out [32]float64
-		for ; i+8 <= i1; i += 8 {
-			packEightRows(pack, a, i)
-			var d [8][]float64
-			for l := range d {
-				d[l] = dst.data[(i+l)*dst.cols : (i+l)*dst.cols+dst.cols]
-			}
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				dotPack8x4(&pack[0],
-					&b.data[(j+0)*k], &b.data[(j+1)*k], &b.data[(j+2)*k], &b.data[(j+3)*k],
-					k, &out)
-				for l, dl := range d {
-					dl[j], dl[j+1], dl[j+2], dl[j+3] = out[l], out[8+l], out[16+l], out[24+l]
-				}
-			}
-			for ; j < n; j++ {
-				br := b.data[j*k : j*k+k]
-				var s0, s1, s2, s3, s4, s5, s6, s7 float64
-				for t, bv := range br {
-					p := pack[8*t : 8*t+8 : 8*t+8]
-					s0 += p[0] * bv
-					s1 += p[1] * bv
-					s2 += p[2] * bv
-					s3 += p[3] * bv
-					s4 += p[4] * bv
-					s5 += p[5] * bv
-					s6 += p[6] * bv
-					s7 += p[7] * bv
-				}
-				d[0][j], d[1][j], d[2][j], d[3][j] = s0, s1, s2, s3
-				d[4][j], d[5][j], d[6][j], d[7][j] = s4, s5, s6, s7
-			}
-			applyEpilogueRows(dst, epi, i, i+8)
-		}
-		putScratch(sp)
+	if tier >= TierAVX512 && k > 0 && n > 0 {
+		i = gemmPacked(dst, a, b, i, i1, 16, epi, sub)
+		i = gemmPacked(dst, a, b, i, i1, 8, epi, sub)
 	}
-	if tier >= TierNEON && k > 0 && n > 0 && i+4 <= i1 {
-		sp := getScratch(4 * k)
-		pack := (*sp)[:4*k]
-		var out [16]float64
-		for ; i+4 <= i1; i += 4 {
-			packFourRows(pack, a, i)
-			d0 := dst.data[(i+0)*dst.cols : (i+0)*dst.cols+dst.cols]
-			d1 := dst.data[(i+1)*dst.cols : (i+1)*dst.cols+dst.cols]
-			d2 := dst.data[(i+2)*dst.cols : (i+2)*dst.cols+dst.cols]
-			d3 := dst.data[(i+3)*dst.cols : (i+3)*dst.cols+dst.cols]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				dotPack4x4(&pack[0],
-					&b.data[(j+0)*k], &b.data[(j+1)*k], &b.data[(j+2)*k], &b.data[(j+3)*k],
-					k, &out)
-				d0[j], d0[j+1], d0[j+2], d0[j+3] = out[0], out[4], out[8], out[12]
-				d1[j], d1[j+1], d1[j+2], d1[j+3] = out[1], out[5], out[9], out[13]
-				d2[j], d2[j+1], d2[j+2], d2[j+3] = out[2], out[6], out[10], out[14]
-				d3[j], d3[j+1], d3[j+2], d3[j+3] = out[3], out[7], out[11], out[15]
-			}
-			for ; j < n; j++ {
-				br := b.data[j*k : j*k+k]
-				var s0, s1, s2, s3 float64
-				for t, bv := range br {
-					p := pack[4*t : 4*t+4 : 4*t+4]
-					s0 += p[0] * bv
-					s1 += p[1] * bv
-					s2 += p[2] * bv
-					s3 += p[3] * bv
-				}
-				d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
-			}
-			applyEpilogueRows(dst, epi, i, i+4)
-		}
-		putScratch(sp)
+	if tier >= TierNEON && k > 0 && n > 0 {
+		i = gemmPacked(dst, a, b, i, i1, 4, epi, sub)
 	}
 	for ; i+4 <= i1; i += 4 {
 		a0 := a.data[(i+0)*k : (i+0)*k+k]
 		a1 := a.data[(i+1)*k : (i+1)*k+k]
 		a2 := a.data[(i+2)*k : (i+2)*k+k]
 		a3 := a.data[(i+3)*k : (i+3)*k+k]
-		d0 := dst.data[(i+0)*dst.cols : (i+0)*dst.cols+dst.cols]
-		d1 := dst.data[(i+1)*dst.cols : (i+1)*dst.cols+dst.cols]
-		d2 := dst.data[(i+2)*dst.cols : (i+2)*dst.cols+dst.cols]
-		d3 := dst.data[(i+3)*dst.cols : (i+3)*dst.cols+dst.cols]
+		d0 := dst.data[(i+0)*dst.cols : (i+0)*dst.cols+n]
+		d1 := dst.data[(i+1)*dst.cols : (i+1)*dst.cols+n]
+		d2 := dst.data[(i+2)*dst.cols : (i+2)*dst.cols+n]
+		d3 := dst.data[(i+3)*dst.cols : (i+3)*dst.cols+n]
 		j := 0
 		for ; j+2 <= n; j += 2 {
 			b0 := b.data[(j+0)*k : (j+0)*k+k]
@@ -377,40 +320,47 @@ func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue) {
 			for t, bv0 := range b0 {
 				bv1 := b1[t]
 				av := x0[t]
-				s00 += av * bv0
-				s01 += av * bv1
+				s00 += float64(av * bv0)
+				s01 += float64(av * bv1)
 				av = x1[t]
-				s10 += av * bv0
-				s11 += av * bv1
+				s10 += float64(av * bv0)
+				s11 += float64(av * bv1)
 				av = x2[t]
-				s20 += av * bv0
-				s21 += av * bv1
+				s20 += float64(av * bv0)
+				s21 += float64(av * bv1)
 				av = x3[t]
-				s30 += av * bv0
-				s31 += av * bv1
+				s30 += float64(av * bv0)
+				s31 += float64(av * bv1)
 			}
-			d0[j], d0[j+1] = s00, s01
-			d1[j], d1[j+1] = s10, s11
-			d2[j], d2[j+1] = s20, s21
-			d3[j], d3[j+1] = s30, s31
+			store(d0, j, sub, s00)
+			store(d0, j+1, sub, s01)
+			store(d1, j, sub, s10)
+			store(d1, j+1, sub, s11)
+			store(d2, j, sub, s20)
+			store(d2, j+1, sub, s21)
+			store(d3, j, sub, s30)
+			store(d3, j+1, sub, s31)
 		}
 		if j < n {
 			b0 := b.data[j*k : j*k+k]
 			x0, x1, x2, x3 := a0[:len(b0)], a1[:len(b0)], a2[:len(b0)], a3[:len(b0)]
 			var s0, s1, s2, s3 float64
 			for t, bv := range b0 {
-				s0 += x0[t] * bv
-				s1 += x1[t] * bv
-				s2 += x2[t] * bv
-				s3 += x3[t] * bv
+				s0 += float64(x0[t] * bv)
+				s1 += float64(x1[t] * bv)
+				s2 += float64(x2[t] * bv)
+				s3 += float64(x3[t] * bv)
 			}
-			d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
+			store(d0, j, sub, s0)
+			store(d1, j, sub, s1)
+			store(d2, j, sub, s2)
+			store(d3, j, sub, s3)
 		}
 		applyEpilogueRows(dst, epi, i, i+4)
 	}
 	for ; i < i1; i++ {
 		ar := a.data[i*k : i*k+k]
-		drow := dst.data[i*dst.cols : i*dst.cols+dst.cols]
+		drow := dst.data[i*dst.cols : i*dst.cols+n]
 		j := 0
 		// The 1-row tile: four B rows at once, four independent accumulator
 		// chains — one per output element — so a single row (MulVecInto, the
@@ -423,24 +373,104 @@ func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue) {
 			x := ar[:len(b0)]
 			var s0, s1, s2, s3 float64
 			for t, av := range x {
-				s0 += av * b0[t]
-				s1 += av * b1[t]
-				s2 += av * b2[t]
-				s3 += av * b3[t]
+				s0 += float64(av * b0[t])
+				s1 += float64(av * b1[t])
+				s2 += float64(av * b2[t])
+				s3 += float64(av * b3[t])
 			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+			store4(drow, j, sub, s0, s1, s2, s3)
 		}
 		for ; j < n; j++ {
 			br := b.data[j*k : j*k+k]
 			x := ar[:len(br)]
 			var s float64
 			for t, bv := range br {
-				s += x[t] * bv
+				s += float64(x[t] * bv)
 			}
-			drow[j] = s
+			store(drow, j, sub, s)
 		}
 		applyEpilogueRows(dst, epi, i, i+1)
 	}
+}
+
+// gemmPacked is one vector rung of gemmBT: rows [i, i1) in blocks of rows
+// (16, 8 or 4) packed A rows through that width's microkernel. It returns
+// the first row it left to the rungs below. A column tail of one to three
+// B rows repeats its last row in the kernel's unused slots, and those
+// lanes are dropped: each kept lane is the chain a full block computes, so
+// no column needs a scalar tail loop.
+func gemmPacked(dst, a, b *Dense, i, i1, rows int, epi *Epilogue, sub bool) int {
+	if i+rows > i1 {
+		return i
+	}
+	k, n := a.cols, b.rows
+	sp := getScratch(rows * k)
+	pack := (*sp)[:rows*k]
+	var out [64]float64
+	var d [16][]float64
+	for ; i+rows <= i1; i += rows {
+		switch rows {
+		case 16:
+			packSixteenRows(pack, a, i)
+		case 8:
+			packEightRows(pack, a, i)
+		default:
+			packFourRows(pack, a, i)
+		}
+		for l := range d[:rows] {
+			d[l] = dst.data[(i+l)*dst.cols : (i+l)*dst.cols+n]
+		}
+		for j := 0; j < n; j += 4 {
+			b0 := &b.data[j*k]
+			b1 := &b.data[min(j+1, n-1)*k]
+			b2 := &b.data[min(j+2, n-1)*k]
+			b3 := &b.data[min(j+3, n-1)*k]
+			switch rows {
+			case 16:
+				dotPack16x4(&pack[0], b0, b1, b2, b3, k, &out)
+			case 8:
+				dotPack8x4(&pack[0], b0, b1, b2, b3, k, (*[32]float64)(out[:32]))
+			default:
+				dotPack4x4(&pack[0], b0, b1, b2, b3, k, (*[16]float64)(out[:16]))
+			}
+			if j+4 <= n {
+				for l, dl := range d[:rows] {
+					store4(dl, j, sub, out[l], out[rows+l], out[2*rows+l], out[3*rows+l])
+				}
+				continue
+			}
+			for l, dl := range d[:rows] {
+				for c := j; c < n; c++ {
+					store(dl, c, sub, out[(c-j)*rows+l])
+				}
+			}
+		}
+		applyEpilogueRows(dst, epi, i, i+rows)
+	}
+	putScratch(sp)
+	return i
+}
+
+// store commits one finished chain: d[j] = v, or d[j] −= v in sub mode.
+func store(d []float64, j int, sub bool, v float64) {
+	if sub {
+		d[j] -= v
+		return
+	}
+	d[j] = v
+}
+
+// store4 is store for the four chains of d[j:j+4].
+func store4(d []float64, j int, sub bool, v0, v1, v2, v3 float64) {
+	d = d[j : j+4 : j+4]
+	if sub {
+		d[0] -= v0
+		d[1] -= v1
+		d[2] -= v2
+		d[3] -= v3
+		return
+	}
+	d[0], d[1], d[2], d[3] = v0, v1, v2, v3
 }
 
 // packFourRows interleaves rows i..i+3 of a feature-major: pack[4t+l] =
@@ -484,5 +514,47 @@ func packEightRows(pack []float64, a *Dense, i int) {
 		p[5] = a5[t]
 		p[6] = a6[t]
 		p[7] = a7[t]
+	}
+}
+
+// packSixteenRows interleaves rows i..i+15 feature-major: pack[16t+l] =
+// a[i+l][t], two ZMM loads per shared k step for dotPack16x4.
+func packSixteenRows(pack []float64, a *Dense, i int) {
+	k := a.cols
+	r := a.data[i*k : (i+16)*k]
+	a0 := r[0*k : 1*k]
+	a1 := r[1*k : 2*k][:k]
+	a2 := r[2*k : 3*k][:k]
+	a3 := r[3*k : 4*k][:k]
+	a4 := r[4*k : 5*k][:k]
+	a5 := r[5*k : 6*k][:k]
+	a6 := r[6*k : 7*k][:k]
+	a7 := r[7*k : 8*k][:k]
+	a8 := r[8*k : 9*k][:k]
+	a9 := r[9*k : 10*k][:k]
+	a10 := r[10*k : 11*k][:k]
+	a11 := r[11*k : 12*k][:k]
+	a12 := r[12*k : 13*k][:k]
+	a13 := r[13*k : 14*k][:k]
+	a14 := r[14*k : 15*k][:k]
+	a15 := r[15*k : 16*k][:k]
+	for t, v := range a0 {
+		p := pack[16*t : 16*t+16 : 16*t+16]
+		p[0] = v
+		p[1] = a1[t]
+		p[2] = a2[t]
+		p[3] = a3[t]
+		p[4] = a4[t]
+		p[5] = a5[t]
+		p[6] = a6[t]
+		p[7] = a7[t]
+		p[8] = a8[t]
+		p[9] = a9[t]
+		p[10] = a10[t]
+		p[11] = a11[t]
+		p[12] = a12[t]
+		p[13] = a13[t]
+		p[14] = a14[t]
+		p[15] = a15[t]
 	}
 }

@@ -32,8 +32,8 @@ no:
 //
 // Leaf 1 ECX: OSXSAVE (bit 27); XGETBV xcr0 must have x87+SSE+AVX (0x6)
 // plus opmask+ZMM_Hi256+Hi16_ZMM (0xe0) OS-enabled; leaf 7 EBX bit 16 is
-// AVX512F, the only extension the 8-lane microkernel uses (VMOVUPD,
-// VBROADCASTSD, VMULPD, VADDPD, VPXORQ on ZMM).
+// AVX512F, the only extension the 8-lane kernels use (VMOVUPD, masked
+// VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VSUBPD, VPXORQ on ZMM; KMOVW).
 TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
@@ -157,5 +157,254 @@ done8:
 	VMOVUPD Z1, 64(DI)
 	VMOVUPD Z2, 128(DI)
 	VMOVUPD Z3, 192(DI)
+	VZEROUPPER
+	RET
+
+// func dotPack16x4(pack, b0, b1, b2, b3 *float64, k int, out *[64]float64)
+//
+// The top rung of the ladder: pack interleaves sixteen A rows
+// (pack[16t+l] = A[i+l][t]), read as two ZMM per k step; each B row j owns
+// the accumulator pair {Z(2j), Z(2j+1)}, so eight independent chains
+// advance per step — enough to cover the add latency on both vector ports,
+// which dotPack8x4's four chains are not. The loop steps its pointers (pack
+// by 128 bytes, the B offset by 8) and counts k down: no per-step index
+// arithmetic. Every lane is still mul-then-add in ascending t, no FMA, so
+// the bits are the scalar path's. k > 0 is the caller's job.
+TEXT ·dotPack16x4(SB), NOSPLIT, $0-56
+	MOVQ pack+0(FP), SI
+	MOVQ b0+8(FP), R8
+	MOVQ b1+16(FP), R9
+	MOVQ b2+24(FP), R10
+	MOVQ b3+32(FP), R11
+	MOVQ k+40(FP), CX
+	MOVQ out+48(FP), DI
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	XORQ BX, BX // 8*t: byte offset into the B rows
+loop16:
+	VMOVUPD (SI), Z8    // A[i..i+7][t]
+	VMOVUPD 64(SI), Z9  // A[i+8..i+15][t]
+	VBROADCASTSD (R8)(BX*1), Z10
+	VBROADCASTSD (R9)(BX*1), Z11
+	VBROADCASTSD (R10)(BX*1), Z12
+	VBROADCASTSD (R11)(BX*1), Z13
+	VMULPD Z8, Z10, Z14
+	VMULPD Z9, Z10, Z15
+	VMULPD Z8, Z11, Z16
+	VMULPD Z9, Z11, Z17
+	VMULPD Z8, Z12, Z18
+	VMULPD Z9, Z12, Z19
+	VMULPD Z8, Z13, Z20
+	VMULPD Z9, Z13, Z21
+	VADDPD Z14, Z0, Z0
+	VADDPD Z15, Z1, Z1
+	VADDPD Z16, Z2, Z2
+	VADDPD Z17, Z3, Z3
+	VADDPD Z18, Z4, Z4
+	VADDPD Z19, Z5, Z5
+	VADDPD Z20, Z6, Z6
+	VADDPD Z21, Z7, Z7
+	ADDQ $128, SI
+	ADDQ $8, BX
+	DECQ CX
+	JNZ  loop16
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	VZEROUPPER
+	RET
+
+// The level-2 kernels of the LU. Each lane is one element's own chain —
+// a multiply, then a subtraction from that element, in the scalar loop's
+// order — so spreading elements (or right-hand-side columns) across lanes
+// changes which chains run together, never the bits of any one of them.
+// No FMA, for the reason the GEMM tiles give.
+
+// func subScaledAVX2(dst, v *float64, n int, a float64)
+//
+// dst[k] −= a·v[k] for k < n; n is a positive multiple of 4.
+TEXT ·subScaledAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD a+24(FP), Y0
+	SHRQ $2, CX
+loopss4:
+	VMULPD (SI), Y0, Y1
+	VMOVUPD (DI), Y2
+	VSUBPD Y1, Y2, Y2
+	VMOVUPD Y2, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  loopss4
+	VZEROUPPER
+	RET
+
+// func subScaledAVX512(dst, v *float64, n int, a float64)
+//
+// dst[k] −= a·v[k] for k < n; n is a positive multiple of 8.
+TEXT ·subScaledAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD a+24(FP), Z0
+	SHRQ $3, CX
+loopss8:
+	VMULPD (SI), Z0, Z1
+	VMOVUPD (DI), Z2
+	VSUBPD Z1, Z2, Z2
+	VMOVUPD Z2, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  loopss8
+	VZEROUPPER
+	RET
+
+// func subScaled4AVX2(dst, v0, v1, v2, v3 *float64, n int, a0, a1, a2, a3 float64)
+//
+// dst[k] = dst[k] − a0·v0[k] − a1·v1[k] − a2·v2[k] − a3·v3[k], subtracting
+// in that order, for k < n; n is a positive multiple of 4.
+TEXT ·subScaled4AVX2(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ v0+8(FP), R8
+	MOVQ v1+16(FP), R9
+	MOVQ v2+24(FP), R10
+	MOVQ v3+32(FP), R11
+	MOVQ n+40(FP), CX
+	VBROADCASTSD a0+48(FP), Y0
+	VBROADCASTSD a1+56(FP), Y1
+	VBROADCASTSD a2+64(FP), Y2
+	VBROADCASTSD a3+72(FP), Y3
+	SHRQ $2, CX
+	XORQ BX, BX
+loops44:
+	VMOVUPD (DI)(BX*1), Y4
+	VMULPD (R8)(BX*1), Y0, Y5
+	VMULPD (R9)(BX*1), Y1, Y6
+	VMULPD (R10)(BX*1), Y2, Y7
+	VMULPD (R11)(BX*1), Y3, Y8
+	VSUBPD Y5, Y4, Y4
+	VSUBPD Y6, Y4, Y4
+	VSUBPD Y7, Y4, Y4
+	VSUBPD Y8, Y4, Y4
+	VMOVUPD Y4, (DI)(BX*1)
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  loops44
+	VZEROUPPER
+	RET
+
+// func subScaled4AVX512(dst, v0, v1, v2, v3 *float64, n int, a0, a1, a2, a3 float64)
+//
+// subScaled4AVX2 eight lanes wide; n is a positive multiple of 8.
+TEXT ·subScaled4AVX512(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ v0+8(FP), R8
+	MOVQ v1+16(FP), R9
+	MOVQ v2+24(FP), R10
+	MOVQ v3+32(FP), R11
+	MOVQ n+40(FP), CX
+	VBROADCASTSD a0+48(FP), Z0
+	VBROADCASTSD a1+56(FP), Z1
+	VBROADCASTSD a2+64(FP), Z2
+	VBROADCASTSD a3+72(FP), Z3
+	SHRQ $3, CX
+	XORQ BX, BX
+loops48:
+	VMOVUPD (DI)(BX*1), Z4
+	VMULPD (R8)(BX*1), Z0, Z5
+	VMULPD (R9)(BX*1), Z1, Z6
+	VMULPD (R10)(BX*1), Z2, Z7
+	VMULPD (R11)(BX*1), Z3, Z8
+	VSUBPD Z5, Z4, Z4
+	VSUBPD Z6, Z4, Z4
+	VSUBPD Z7, Z4, Z4
+	VSUBPD Z8, Z4, Z4
+	VMOVUPD Z4, (DI)(BX*1)
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  loops48
+	VZEROUPPER
+	RET
+
+// func subDotCols4AVX2(dst, l, x *float64, nl, stride int)
+//
+// dst[c] −= Σ_{j<nl} l[j]·x[j·stride+c] for the four columns c < 4,
+// subtracting in ascending j: one YMM lane per right-hand-side column.
+// stride is in elements; nl may be 0.
+TEXT ·subDotCols4AVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ l+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ nl+24(FP), CX
+	MOVQ stride+32(FP), DX
+	SHLQ $3, DX
+	VMOVUPD (DI), Y0
+	TESTQ CX, CX
+	JZ    donesd4
+loopsd4:
+	VBROADCASTSD (SI), Y1
+	VMULPD (R8), Y1, Y2
+	VSUBPD Y2, Y0, Y0
+	ADDQ $8, SI
+	ADDQ DX, R8
+	DECQ CX
+	JNZ  loopsd4
+donesd4:
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func subDotCols16AVX512(dst, l, x *float64, nl, stride, w int)
+//
+// subDotCols4AVX2 for up to sixteen columns (w in 1..16) as two ZMM chains
+// under the opmasks K1 (columns 0–7) and K2 (8–15): masked-off lanes are
+// neither loaded nor stored, so dst and x need hold only the w columns.
+TEXT ·subDotCols16AVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ l+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ stride+32(FP), DX
+	MOVQ w+40(FP), CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX // the low w bits
+	KMOVW AX, K1
+	SHRL $8, AX
+	KMOVW AX, K2
+	MOVQ nl+24(FP), CX
+	SHLQ $3, DX
+	VMOVUPD.Z (DI), K1, Z0
+	VMOVUPD.Z 64(DI), K2, Z1
+	TESTQ CX, CX
+	JZ    donesd16
+loopsd16:
+	VBROADCASTSD (SI), Z2
+	VMOVUPD.Z (R8), K1, Z3
+	VMOVUPD.Z 64(R8), K2, Z4
+	VMULPD Z3, Z2, Z3
+	VMULPD Z4, Z2, Z4
+	VSUBPD Z3, Z0, Z0
+	VSUBPD Z4, Z1, Z1
+	ADDQ $8, SI
+	ADDQ DX, R8
+	DECQ CX
+	JNZ  loopsd16
+donesd16:
+	VMOVUPD Z0, K1, (DI)
+	VMOVUPD Z1, K2, 64(DI)
 	VZEROUPPER
 	RET

@@ -15,12 +15,6 @@ package mat
 //go:noescape
 func dotPack4x4(pack, b0, b1, b2, b3 *float64, k int, out *[16]float64)
 
-// dotPack8x4 is the AVX-512 microkernel and has no arm64 implementation;
-// the dispatch never selects TierAVX512 here (haveAVX512 is false).
-func dotPack8x4(pack, b0, b1, b2, b3 *float64, k int, out *[32]float64) {
-	panic("mat: dotPack8x4 without AVX-512 support")
-}
-
 // NEON (ASIMD) is architecturally baseline on arm64, so the packed
 // microkernel is always available; the AVX tiers never are.
 const (

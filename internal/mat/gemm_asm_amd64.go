@@ -32,6 +32,13 @@ func dotPack4x4(pack, b0, b1, b2, b3 *float64, k int, out *[16]float64)
 //go:noescape
 func dotPack8x4(pack, b0, b1, b2, b3 *float64, k int, out *[32]float64)
 
+// dotPack16x4 is dotPack8x4 over sixteen packed A rows: out[16j+l] =
+// Σ_t pack[16t+l]·bj[t], two ZMM of A per k step and eight accumulator
+// chains (gemm_amd64.s). Same contract and noescape argument.
+//
+//go:noescape
+func dotPack16x4(pack, b0, b1, b2, b3 *float64, k int, out *[64]float64)
+
 // CPU capability of each microkernel tier on amd64; resolved once at
 // startup. NEON is an arm64 tier and never available here.
 var (
@@ -40,3 +47,25 @@ var (
 )
 
 const haveNEON = false
+
+// The LU's level-2 kernels (gemm_level2.go has the contracts and the Go
+// loops they match bit for bit). n is a positive multiple of the lane
+// count: 4 for AVX2, 8 for AVX-512. Same noescape argument as dotPack4x4.
+
+//go:noescape
+func subScaledAVX2(dst, v *float64, n int, a float64)
+
+//go:noescape
+func subScaledAVX512(dst, v *float64, n int, a float64)
+
+//go:noescape
+func subScaled4AVX2(dst, v0, v1, v2, v3 *float64, n int, a0, a1, a2, a3 float64)
+
+//go:noescape
+func subScaled4AVX512(dst, v0, v1, v2, v3 *float64, n int, a0, a1, a2, a3 float64)
+
+//go:noescape
+func subDotCols4AVX2(dst, l, x *float64, nl, stride int)
+
+//go:noescape
+func subDotCols16AVX512(dst, l, x *float64, nl, stride, w int)

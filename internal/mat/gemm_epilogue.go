@@ -137,9 +137,9 @@ func (m *Dense) MulBTIntoEpilogue(b, dst *Dense, epi *Epilogue) *Dense {
 	epi.check(dst)
 	flops := m.rows * m.cols * b.rows
 	if w := workers(); w > 1 && flops >= parallelFlopCutoff && m.rows > 1 {
-		parallelRows(m.rows, w, func(lo, hi int) { gemmBT(dst, m, b, lo, hi, epi) })
+		parallelRows(m.rows, w, func(lo, hi int) { gemmBT(dst, m, b, lo, hi, epi, false) })
 	} else {
-		gemmBT(dst, m, b, 0, m.rows, epi)
+		gemmBT(dst, m, b, 0, m.rows, epi, false)
 	}
 	return dst
 }

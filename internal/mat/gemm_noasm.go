@@ -13,7 +13,3 @@ const (
 func dotPack4x4(pack, b0, b1, b2, b3 *float64, k int, out *[16]float64) {
 	panic("mat: dotPack4x4 without asm support")
 }
-
-func dotPack8x4(pack, b0, b1, b2, b3 *float64, k int, out *[32]float64) {
-	panic("mat: dotPack8x4 without asm support")
-}

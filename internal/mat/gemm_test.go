@@ -13,7 +13,7 @@ func naiveMul(a, b *Dense) *Dense {
 		for j := 0; j < b.Cols(); j++ {
 			var s float64
 			for k := 0; k < a.Cols(); k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s += float64(a.At(i, k) * b.At(k, j))
 			}
 			out.Set(i, j, s)
 		}
@@ -103,7 +103,7 @@ func TestMulATBitIdenticalToSequentialAccumulation(t *testing.T) {
 		for row := 0; row < k; row++ { // ascending-row accumulation
 			for i := 0; i < r; i++ {
 				for j := 0; j < c; j++ {
-					want.Set(i, j, want.At(i, j)+m.At(row, i)*b.At(row, j))
+					want.Set(i, j, want.At(i, j)+float64(m.At(row, i)*b.At(row, j)))
 				}
 			}
 		}

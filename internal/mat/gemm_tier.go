@@ -22,8 +22,8 @@ const (
 	TierNEON
 	// TierAVX2 is the amd64 4-lane packed microkernel (gemm_amd64.s).
 	TierAVX2
-	// TierAVX512 is the amd64 8-lane packed microkernel (gemm_amd64.s),
-	// gated on AVX512F.
+	// TierAVX512 is the amd64 8-lane packed microkernels, 16- and 8-row
+	// tiles (gemm_amd64.s), gated on AVX512F.
 	TierAVX512
 )
 

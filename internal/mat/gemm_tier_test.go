@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -129,12 +130,106 @@ func TestMulVecIntoTierParity(t *testing.T) {
 				for i := 0; i < rows; i++ {
 					var want float64
 					for k := 0; k < cols; k++ {
-						want += m.At(i, k) * x[k]
+						want += float64(m.At(i, k) * x[k])
 					}
 					if dst[i] != want {
 						t.Fatalf("MulVecInto@%s %dx%d: [%d] = %v, want %v", tier, rows, cols, i, dst[i], want)
 					}
 				}
+			}
+		}
+	})
+}
+
+// gemmReference is the triple loop gemmBT must reproduce on every tier:
+// each element one ascending-k chain, every product rounded before it is
+// added (the conversion keeps a compiler from fusing the pair). In sub
+// mode it subtracts the finished chain from dst's element, once.
+func gemmReference(dst, a, b *Dense, sub bool) {
+	for i := 0; i < a.rows; i++ {
+		for j := 0; j < b.rows; j++ {
+			var s float64
+			for t := 0; t < a.cols; t++ {
+				s += float64(a.data[i*a.cols+t] * b.data[j*b.cols+t])
+			}
+			if sub {
+				dst.data[i*dst.cols+j] -= s
+			} else {
+				dst.data[i*dst.cols+j] = s
+			}
+		}
+	}
+}
+
+// TestGemmBTStoreModesAllTiers sweeps gemmBT itself over every row
+// remainder of the 16-, 8-, 4- and 1-row rungs (m = 0..40), every column
+// tail of the 4-wide kernels (n = 0..9) and k ∈ {0, 1, 3, 48, 785} — the
+// LU's panel width and the interpreter's design width — in all three store
+// modes: plain, fused epilogue, and the LU's subtract into a strided view
+// (columns past b.rows must stay untouched). Bits are compared with
+// Float64bits against the reference on every tier the CPU has.
+func TestGemmBTStoreModesAllTiers(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	ks := []int{0, 1, 3, 48, 785}
+	if testing.Short() || raceEnabled {
+		ks = ks[:4]
+	}
+	type cse struct {
+		a, b, init  *Dense // init: the strided subtract target's start
+		plain, subd *Dense
+		epi         *Epilogue
+		epiWant     *Dense
+	}
+	const pad = 3 // extra columns of the strided view
+	var cases []cse
+	for _, k := range ks {
+		for m := 0; m <= 40; m++ {
+			for n := 0; n <= 9; n++ {
+				a, b := randDense(rng, m, k), randDense(rng, n, k)
+				c := cse{a: a, b: b, init: randDense(rng, m, n+pad)}
+				c.plain = NewDense(m, n)
+				gemmReference(c.plain, a, b, false)
+				c.subd = c.init.Clone()
+				gemmReference(c.subd, a, b, true)
+				if m > 0 && n > 0 {
+					c.epi = epilogueVariants(m, n, rng)[3]
+					c.epiWant = c.plain.Clone()
+					applyEpilogueNaive(c.epiWant, &Epilogue{Bias: c.epi.Bias, Act: c.epi.Act, Leak: c.epi.Leak})
+				}
+				cases = append(cases, c)
+			}
+		}
+	}
+	same := func(t *testing.T, got, want *Dense, label string, c cse) {
+		t.Helper()
+		for i, v := range want.data {
+			if math.Float64bits(got.data[i]) != math.Float64bits(v) {
+				t.Fatalf("%s m=%d n=%d k=%d: element %d = %v, want %v", label, c.a.rows, c.b.rows, c.a.cols, i, got.data[i], v)
+			}
+		}
+	}
+	forEachTier(t, func(t *testing.T, tier KernelTier) {
+		for _, c := range cases {
+			m, n := c.a.rows, c.b.rows
+			got := randDense(rng, m, n) // stale contents must be overwritten
+			gemmBT(got, c.a, c.b, 0, m, nil, false)
+			same(t, got, c.plain, "plain", c)
+
+			// The LU's view: rows of stride n+pad whose data stops right
+			// after the last row's n-th column.
+			view := c.init.Clone()
+			end := 0
+			if m > 0 {
+				end = (m-1)*(n+pad) + n
+			}
+			gemmBT(&Dense{rows: m, cols: n + pad, data: view.data[:end]}, c.a, c.b, 0, m, nil, true)
+			same(t, view, c.subd, "subtract", c)
+
+			if c.epi != nil {
+				got := NewDense(m, n)
+				epi := &Epilogue{Bias: c.epi.Bias, Act: c.epi.Act, Leak: c.epi.Leak}
+				gemmBT(got, c.a, c.b, 0, m, epi, false)
+				same(t, got, c.epiWant, "epilogue", c)
 			}
 		}
 	})

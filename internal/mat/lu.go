@@ -27,8 +27,10 @@ import (
 // Below luCrossover the whole matrix is one panel, which is the textbook
 // unblocked loop.
 //
-// Determinism: the panel and the triangular solve are scalar loops in a
-// fixed order, each trailing element is one ascending gemmBT chain
+// Determinism: every element of the panel and the triangular solve
+// subtracts its products one at a time in a fixed order (the level-2
+// kernels of gemm_level2.go put elements in vector lanes, never split a
+// chain), each trailing element is one ascending gemmBT chain
 // (bit-identical across tiers and worker counts) and one subtraction, so
 // Factor's output bits depend on neither the kernel tier nor SetWorkers.
 // They are not bit-identical to the unblocked loop: a trailing element
@@ -60,8 +62,8 @@ const luBlock = 48
 // from n = 69 (111 against 118 µs).
 const luCrossover = 64
 
-// luStrip is the row count of one trailing-update strip. The product
-// strip, luStrip×(n−k0), is subtracted while still in cache; 16, 32 and 64
+// luStrip is the row count of one trailing-update strip, whose L21 rows are
+// packed once for gemmBT (two 16-row AVX-512 tiles); 16, 32 and 64
 // measured within 1% of each other at n = 785.
 const luStrip = 32
 
@@ -187,7 +189,7 @@ func (f *LU) factorPanel(k0, kb int) error {
 			for j := j0; j < j1; j++ {
 				u := pc[j]
 				for s := j + 1; s < j1; s++ {
-					pc[s] -= p[j*m+s] * u
+					pc[s] -= float64(p[j*m+s] * u)
 				}
 			}
 			below := pc[j1:]
@@ -218,9 +220,9 @@ func (f *LU) factorPanel(k0, kb int) error {
 //   - U12 = L11⁻¹·A12, one trailing column range per goroutine (columns
 //     are independent), packed transposed into U12ᵀ as it goes;
 //   - A22 −= L21·U12 on gemmBT — the tiered packed kernels — one
-//     luStrip-row strip at a time: the strip's L21 rows are packed, the
-//     product lands in strip-sized scratch and is subtracted while still in
-//     cache, so no trailing-size temporary is ever materialised.
+//     luStrip-row strip at a time: the strip's L21 rows are packed and
+//     gemmBT subtracts each finished product from its A22 element in
+//     place, so no product temporary is ever materialised.
 //
 // Each product element is one ascending chain over the panel, bit-identical
 // on every tier and for every worker count, and everything else is per
@@ -270,55 +272,24 @@ func (f *LU) solveBlockRow(k0, kb int, u12t *Dense, lo, hi int) {
 }
 
 // updateStrips computes A22 −= L21·U12 for trailing rows [lo, hi), one
-// luStrip-row strip at a time: the strip's L21 rows are packed, the
-// product lands in strip-sized scratch through gemmBT and is subtracted
-// while still in cache.
+// luStrip-row strip at a time: the strip's L21 rows are packed and gemmBT
+// subtracts each finished product chain from its A22 element in place.
 func (f *LU) updateStrips(k0, kb int, u12t *Dense, lo, hi int) {
 	n := f.n
 	lu := f.lu.data
 	c0 := k0 + kb
-	mt := n - c0
 	l21 := getScratchDense(luStrip, kb)
-	prod := getScratchDense(luStrip, mt)
 	for s := lo; s < hi; s += luStrip {
 		e := min(s+luStrip, hi)
 		for i := s; i < e; i++ {
 			copy(l21.data[(i-s)*kb:(i-s+1)*kb], lu[(c0+i)*n+k0:(c0+i)*n+c0])
 		}
 		a := Dense{rows: e - s, cols: kb, data: l21.data[:(e-s)*kb]}
-		d := Dense{rows: e - s, cols: mt, data: prod.data[:(e-s)*mt]}
-		gemmBT(&d, &a, u12t, 0, e-s, nil)
-		for i := s; i < e; i++ {
-			row := lu[(c0+i)*n+c0 : (c0+i+1)*n]
-			for j, v := range d.data[(i-s)*mt : (i-s+1)*mt][:len(row)] {
-				row[j] -= v
-			}
-		}
+		// A22's strip rows as a view of stride n (see gemmBT).
+		d := Dense{rows: e - s, cols: n, data: lu[(c0+s)*n+c0:]}
+		gemmBT(&d, &a, u12t, 0, e-s, nil, true)
 	}
-	putScratchDense(prod)
 	putScratchDense(l21)
-}
-
-// subScaled sets dst[k] −= a·v[k].
-func subScaled(dst, v []float64, a float64) {
-	v = v[:len(dst)]
-	for k, x := range v {
-		dst[k] -= a * x
-	}
-}
-
-// subScaled4 sets dst[k] = dst[k] − a0·v0[k] − a1·v1[k] − a2·v2[k] −
-// a3·v3[k], subtracting in that order: four consecutive subScaled calls,
-// bit for bit, with one load and store of dst instead of four.
-func subScaled4(dst, v0, v1, v2, v3 []float64, a0, a1, a2, a3 float64) {
-	v0, v1, v2, v3 = v0[:len(dst)], v1[:len(dst)], v2[:len(dst)], v3[:len(dst)]
-	for k, d := range dst {
-		d -= a0 * v0[k]
-		d -= a1 * v1[k]
-		d -= a2 * v2[k]
-		d -= a3 * v3[k]
-		dst[k] = d
-	}
 }
 
 // N returns the order of the factored matrix.
@@ -338,11 +309,12 @@ func (f *LU) SolveVec(b Vec) (Vec, error) {
 
 // SolveInto solves A X = B for every column of b at once into x, which must
 // be N()×b.Cols() and must not alias b, so the C−1 class pairs OpenAPI
-// solves per round share one pass over the factors. The columns are solved
-// transposed in pooled scratch, four at a time: each row of L and U is read
-// once per sweep for all of them, and the four dot products run as
-// independent chains. Every element subtracts its terms in ascending order,
-// so a column's result does not depend on how many columns ride along.
+// solves per round share one pass over the factors. The solve runs in
+// place in x's row-major layout: each row of L and U is read once for all
+// columns, and the columns' chains run side by side (in vector lanes on
+// the AVX tiers; see subDotCols). Every element subtracts its terms in
+// ascending order, so a column's result does not depend on how many
+// columns ride along.
 func (f *LU) SolveInto(b, x *Dense) error {
 	n := f.n
 	if b.rows != n || x.rows != n || x.cols != b.cols {
@@ -350,75 +322,28 @@ func (f *LU) SolveInto(b, x *Dense) error {
 	}
 	checkNoAlias("SolveInto", x, b)
 	r := b.cols
-	xt := getScratchDense(r, n)
-	defer putScratchDense(xt)
-	col := func(c int) []float64 { return xt.data[c*n : (c+1)*n] }
+	xd := x.data
 	for i, p := range f.pivot {
-		for c, v := range b.data[p*r : (p+1)*r] {
-			xt.data[c*n+i] = v
-		}
+		copy(xd[i*r:(i+1)*r], b.data[p*r:(p+1)*r])
 	}
 	lu := f.lu.data
 	// Forward substitution with the unit lower triangle.
 	for i := 1; i < n; i++ {
-		row := lu[i*n : i*n+i]
-		c := 0
-		for ; c+4 <= r; c += 4 {
-			x0, x1, x2, x3 := col(c), col(c+1), col(c+2), col(c+3)
-			x0[i], x1[i], x2[i], x3[i] = subDots4(row, x0, x1, x2, x3, x0[i], x1[i], x2[i], x3[i])
-		}
-		for ; c < r; c++ {
-			xc := col(c)
-			xc[i] = subDot(row, xc, xc[i])
-		}
+		subDotCols(xd[i*r:(i+1)*r], lu[i*n:i*n+i], xd, r)
 	}
 	// Back substitution with the upper triangle.
 	for i := n - 1; i >= 0; i-- {
-		row := lu[i*n+i+1 : (i+1)*n]
 		d := lu[i*n+i]
 		if d == 0 {
 			return fmt.Errorf("mat: zero diagonal at %d: %w", i, ErrSingular)
 		}
-		c := 0
-		for ; c+4 <= r; c += 4 {
-			x0, x1, x2, x3 := col(c), col(c+1), col(c+2), col(c+3)
-			s0, s1, s2, s3 := subDots4(row, x0[i+1:], x1[i+1:], x2[i+1:], x3[i+1:], x0[i], x1[i], x2[i], x3[i])
-			x0[i], x1[i], x2[i], x3[i] = s0/d, s1/d, s2/d, s3/d
-		}
-		for ; c < r; c++ {
-			xc := col(c)
-			xc[i] = subDot(row, xc[i+1:], xc[i]) / d
-		}
-	}
-	for i := 0; i < n; i++ {
-		row := x.data[i*r : (i+1)*r]
-		for c := range row {
-			row[c] = xt.data[c*n+i]
+		xi := xd[i*r : (i+1)*r]
+		subDotCols(xi, lu[i*n+i+1:(i+1)*n], xd[(i+1)*r:], r)
+		for c := range xi {
+			xi[c] /= d
 		}
 	}
 	return nil
-}
-
-// subDot returns s − Σ_j row[j]·y[j], subtracting in ascending j.
-func subDot(row, y []float64, s float64) float64 {
-	y = y[:len(row)]
-	for j, l := range row {
-		s -= l * y[j]
-	}
-	return s
-}
-
-// subDots4 is subDot for four vectors against one row: four independent
-// chains sharing each load of row[j].
-func subDots4(row, y0, y1, y2, y3 []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
-	y0, y1, y2, y3 = y0[:len(row)], y1[:len(row)], y2[:len(row)], y3[:len(row)]
-	for j, l := range row {
-		s0 -= l * y0[j]
-		s1 -= l * y1[j]
-		s2 -= l * y2[j]
-		s3 -= l * y3[j]
-	}
-	return s0, s1, s2, s3
 }
 
 // Solve solves A X = B into a new matrix; see SolveInto.

@@ -257,7 +257,7 @@ func factorReference(a *Dense) (*LU, error) {
 			rowI := lu[i*n : (i+1)*n]
 			rowK := lu[k*n : (k+1)*n]
 			for j := k + 1; j < n; j++ {
-				rowI[j] -= l * rowK[j]
+				rowI[j] -= float64(l * rowK[j])
 			}
 		}
 	}
@@ -562,14 +562,14 @@ func solveReference(f *LU, b Vec) Vec {
 	for i := 1; i < n; i++ {
 		s := x[i]
 		for j := 0; j < i; j++ {
-			s -= lu[i*n+j] * x[j]
+			s -= float64(lu[i*n+j] * x[j])
 		}
 		x[i] = s
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= lu[i*n+j] * x[j]
+			s -= float64(lu[i*n+j] * x[j])
 		}
 		x[i] = s / lu[i*n+i]
 	}
@@ -624,4 +624,38 @@ func TestSolveIntoShapeErrors(t *testing.T) {
 			t.Fatalf("%dx%d into %dx%d: err = %v, want ErrShape", tc.b.Rows(), tc.b.Cols(), tc.x.Rows(), tc.x.Cols(), err)
 		}
 	}
+}
+
+// TestSolveIntoColumnCountsAllTiers: for every right-hand-side count
+// r = 1..13 — the 16-lane AVX-512 block's masked widths, the AVX2 4-column
+// blocks with their Go tails, and the single column — each column of
+// SolveInto is the textbook solve's bits, on every tier.
+func TestSolveIntoColumnCountsAllTiers(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var fs []*LU
+	for _, n := range []int{1, 7, 66, 130} {
+		f, err := Factor(designMatrixAt(rng, n, 0x1p-10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs = append(fs, f)
+	}
+	forEachTier(t, func(t *testing.T, tier KernelTier) {
+		for _, f := range fs {
+			for r := 1; r <= 13; r++ {
+				b := randDense(rng, f.n, r)
+				x := NewDense(f.n, r)
+				if err := f.SolveInto(b, x); err != nil {
+					t.Fatal(err)
+				}
+				for c := 0; c < r; c++ {
+					for i, v := range solveReference(f, b.Col(c)) {
+						if math.Float64bits(x.At(i, c)) != math.Float64bits(v) {
+							t.Fatalf("n=%d r=%d column %d row %d: %v, want %v", f.n, r, c, i, x.At(i, c), v)
+						}
+					}
+				}
+			}
+		}
+	})
 }

@@ -40,11 +40,11 @@ func FactorQR(a *Dense) (*QR, error) {
 			for j := k + 1; j < n; j++ {
 				var s float64
 				for i := k; i < m; i++ {
-					s += d[i*n+k] * d[i*n+j]
+					s += float64(d[i*n+k] * d[i*n+j])
 				}
 				s = -s / d[k*n+k]
 				for i := k; i < m; i++ {
-					d[i*n+j] += s * d[i*n+k]
+					d[i*n+j] += float64(s * d[i*n+k])
 				}
 			}
 		}
@@ -90,11 +90,11 @@ func (f *QR) applyQT(y Vec) {
 		}
 		var s float64
 		for i := k; i < m; i++ {
-			s += d[i*n+k] * y[i]
+			s += float64(d[i*n+k] * y[i])
 		}
 		s = -s / d[k*n+k]
 		for i := k; i < m; i++ {
-			y[i] += s * d[i*n+k]
+			y[i] += float64(s * d[i*n+k])
 		}
 	}
 }
@@ -117,7 +117,7 @@ func (f *QR) SolveVec(b Vec) (Vec, error) {
 	for k := n - 1; k >= 0; k-- {
 		x[k] /= f.rdiag[k]
 		for i := 0; i < k; i++ {
-			x[i] -= x[k] * d[i*n+k]
+			x[i] -= float64(x[k] * d[i*n+k])
 		}
 	}
 	return x, nil

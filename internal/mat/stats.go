@@ -46,7 +46,7 @@ func Summarize(xs []float64) Summary {
 	var ss float64
 	for _, x := range clean {
 		dx := x - s.Mean
-		ss += dx * dx
+		ss += float64(dx * dx)
 	}
 	if s.N > 1 {
 		s.StdDev = math.Sqrt(ss / float64(s.N-1))
@@ -71,14 +71,14 @@ func Quantile(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[n-1]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1)) // rounded here, so frac below cannot fuse with it
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Histogram counts xs into nbins equal-width bins over [lo, hi]. Values

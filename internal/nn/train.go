@@ -152,9 +152,9 @@ func (o *optimizer) step(blocks []paramBlock, batchLen int) {
 		for i, blk := range blocks {
 			m1, m2 := o.m1[i], o.m2[i]
 			for c := range blk.w {
-				gc := blk.g[c]*invBatch + cfg.WeightDecay*blk.w[c]
-				m1[c] = cfg.Beta1*m1[c] + (1-cfg.Beta1)*gc
-				m2[c] = cfg.Beta2*m2[c] + (1-cfg.Beta2)*gc*gc
+				gc := float64(blk.g[c]*invBatch) + float64(cfg.WeightDecay*blk.w[c])
+				m1[c] = float64(cfg.Beta1*m1[c]) + float64((1-cfg.Beta1)*gc)
+				m2[c] = float64(cfg.Beta2*m2[c]) + float64((1-cfg.Beta2)*gc*gc)
 				mhat := m1[c] / bc1
 				vhat := m2[c] / bc2
 				blk.w[c] -= cfg.LearningRate * mhat / (math.Sqrt(vhat) + 1e-8)
@@ -172,7 +172,7 @@ func (o *optimizer) step(blocks []paramBlock, batchLen int) {
 			}
 			v := o.m1[i]
 			for c := range blk.w {
-				v[c] = cfg.Momentum*v[c] - scale*blk.g[c] - cfg.LearningRate*wd*blk.w[c]
+				v[c] = float64(cfg.Momentum*v[c]) - float64(scale*blk.g[c]) - float64(cfg.LearningRate*wd*blk.w[c])
 				blk.w[c] += v[c]
 			}
 		}
@@ -275,7 +275,7 @@ func (n *Network) accumulate(g *gradients, x mat.Vec, label int) float64 {
 			}
 			row := dw.RawRow(r)
 			for c, av := range ai {
-				row[c] += dr * av
+				row[c] += float64(dr * av)
 			}
 		}
 		g.dB[i].AddInPlace(delta)
