@@ -202,6 +202,7 @@ func (o *OpenAPI) interpret(model plm.Model, x0, y0 mat.Vec, c int) (*plm.Interp
 			cps = append(cps, cp)
 		}
 	}
+	bufs := newSolveBuffers(d+1, o.cfg.ExtraChecks, len(cps))
 
 	for iter := 1; iter <= o.cfg.MaxIterations; iter++ {
 		cube := sample.NewHypercube(x0, r)
@@ -212,7 +213,7 @@ func (o *OpenAPI) interpret(model plm.Model, x0, y0 mat.Vec, c int) (*plm.Interp
 		ys, f := o.probeWhileFactoring(model, pts, design)
 		queries += len(pts)
 
-		pairs, ok := o.solve(f, design, y0, ys, c, cps)
+		pairs, ok := o.solve(f, design, y0, ys, c, cps, bufs)
 		if !ok {
 			r /= o.cfg.ShrinkFactor
 			continue
@@ -291,23 +292,47 @@ func (o *OpenAPI) factor(design *mat.Dense) roundFactor {
 	}
 }
 
+// solveBuffers is the solve step's working memory for one interpretation:
+// the shared-LU path's right-hand sides, solutions and check product, and
+// the round's answer list. interpret allocates it once and every round
+// refills it, so a rejected round allocates none of it.
+type solveBuffers struct {
+	eqY        []mat.Vec  // y0, then the round's answers
+	rhs, wants *mat.Dense // square-system and held-out log-odds, a column per pair
+	beta, pred *mat.Dense // the solutions and extras·β
+	scale      []float64  // each pair's ‖rhs‖∞
+}
+
+// newSolveBuffers sizes the buffers for n unknowns, extras held-out
+// equations and the given number of class pairs.
+func newSolveBuffers(n, extras, pairs int) *solveBuffers {
+	return &solveBuffers{
+		eqY:   make([]mat.Vec, 0, n+extras),
+		rhs:   mat.NewDense(n, pairs),
+		wants: mat.NewDense(extras, pairs),
+		beta:  mat.NewDense(n, pairs),
+		pred:  mat.NewDense(extras, pairs),
+		scale: make([]float64, pairs),
+	}
+}
+
 // solve is the solve-and-check step: it recovers (D_{c,c'}, B_{c,c'}) for
 // every c' in cps from the round's factor f and the answers, or reports
 // inconsistency. design is the round's design matrix after factor ran; ys
 // answers its rows after x0's: the first d form the square system with
-// y0, the tail are held-out verification equations.
-func (o *OpenAPI) solve(f roundFactor, design *mat.Dense, y0 mat.Vec, ys []mat.Vec, c int, cps []int) ([]*pairSolution, bool) {
+// y0, the tail are held-out verification equations. bufs is sized for
+// design and cps (newSolveBuffers).
+func (o *OpenAPI) solve(f roundFactor, design *mat.Dense, y0 mat.Vec, ys []mat.Vec, c int, cps []int, bufs *solveBuffers) ([]*pairSolution, bool) {
 	if f.err != nil {
 		return nil, false
 	}
 	n := design.Cols() // d+1
-	eqY := make([]mat.Vec, 0, len(ys)+1)
-	eqY = append(eqY, y0)
-	eqY = append(eqY, ys...)
-	out := make([]*pairSolution, len(cps)+1) // indexed by class
+	eqY := append(append(bufs.eqY[:0], y0), ys...)
+	var out []*pairSolution // indexed by class; allocated once a round is consistent
 
 	switch o.cfg.Solver {
 	case SolverSharedQR:
+		out = make([]*pairSolution, len(cps)+1)
 		for _, cp := range cps {
 			rhs := make(mat.Vec, len(eqY))
 			for i, y := range eqY {
@@ -327,6 +352,7 @@ func (o *OpenAPI) solve(f roundFactor, design *mat.Dense, y0 mat.Vec, ys []mat.V
 
 	case SolverPerPairLU:
 		square, extras := design.RowsView(n), design.RowsFrom(n)
+		out = make([]*pairSolution, len(cps)+1)
 		for _, cp := range cps {
 			// Paper-literal: factor anew for every pair.
 			lu, err := mat.Factor(square)
@@ -341,9 +367,13 @@ func (o *OpenAPI) solve(f roundFactor, design *mat.Dense, y0 mat.Vec, ys []mat.V
 		return out, true
 
 	default: // SolverSharedLU
-		if !o.solveChecked(f.lu, design.RowsFrom(n), logOddsMatrix(eqY[:n], c, cps), logOddsMatrix(eqY[n:], c, cps), cps, out) {
+		logOddsInto(bufs.rhs, eqY[:n], c, cps)
+		logOddsInto(bufs.wants, eqY[n:], c, cps)
+		if !o.checkSolutions(f.lu, design.RowsFrom(n), bufs) {
 			return nil, false
 		}
+		out = make([]*pairSolution, len(cps)+1)
+		collectPairs(bufs.beta, cps, out)
 		return out, true
 	}
 }
@@ -353,32 +383,59 @@ func (o *OpenAPI) solve(f roundFactor, design *mat.Dense, y0 mat.Vec, ys []mat.V
 // j of wants those of the held-out equations — and verifies every held-out
 // equation as one product: extras·β must reproduce wants within the
 // tolerance of DESIGN.md §5. On success it stores pair cps[j]'s solution in
-// out[cps[j]].
+// out[cps[j]]. It works in fresh buffers; interpret's shared-LU path reuses
+// its own (checkSolutions).
 func (o *OpenAPI) solveChecked(lu *mat.LU, extras, rhs, wants *mat.Dense, cps []int, out []*pairSolution) bool {
 	n := lu.N() // d+1
-	beta := mat.NewDense(n, len(cps))
-	if lu.SolveInto(rhs, beta) != nil {
+	b := &solveBuffers{
+		rhs:   rhs,
+		wants: wants,
+		beta:  mat.NewDense(n, len(cps)),
+		pred:  mat.NewDense(extras.Rows(), len(cps)),
+		scale: make([]float64, len(cps)),
+	}
+	if !o.checkSolutions(lu, extras, b) {
 		return false
 	}
-	scale := make([]float64, len(cps)) // each pair's ‖rhs‖∞
+	collectPairs(b.beta, cps, out)
+	return true
+}
+
+// checkSolutions is solveChecked's solve and check in b's buffers: it
+// solves b.rhs into b.beta and reports whether every held-out equation
+// reproduces b.wants.
+func (o *OpenAPI) checkSolutions(lu *mat.LU, extras *mat.Dense, b *solveBuffers) bool {
+	n := lu.N() // d+1
+	if lu.SolveInto(b.rhs, b.beta) != nil {
+		return false
+	}
+	scale := b.scale
+	clear(scale)
 	for i := 0; i < n; i++ {
-		if beta.RawRow(i).HasNaN() {
+		if b.beta.RawRow(i).HasNaN() {
 			return false
 		}
-		for j, v := range rhs.RawRow(i) {
+		for j, v := range b.rhs.RawRow(i) {
 			if a := math.Abs(v); a > scale[j] {
 				scale[j] = a
 			}
 		}
 	}
-	pred := extras.MulInto(beta, mat.NewDense(extras.Rows(), len(cps)))
+	pred := extras.MulInto(b.beta, b.pred)
 	for i := 0; i < extras.Rows(); i++ {
-		for j, want := range wants.RawRow(i) {
+		for j, want := range b.wants.RawRow(i) {
 			if math.Abs(pred.At(i, j)-want) > o.cfg.Tolerance*(1+math.Abs(want)+scale[j]) {
 				return false
 			}
 		}
 	}
+	return true
+}
+
+// collectPairs stores column j of beta, pair cps[j]'s solution, in
+// out[cps[j]]: B is its first entry, D the rest.
+func collectPairs(beta *mat.Dense, cps []int, out []*pairSolution) {
+	n := beta.Rows()
 	for j, cp := range cps {
 		sol := &pairSolution{D: make(mat.Vec, n-1), B: beta.At(0, j)}
 		for i := range sol.D {
@@ -386,14 +443,17 @@ func (o *OpenAPI) solveChecked(lu *mat.LU, extras, rhs, wants *mat.Dense, cps []
 		}
 		out[cp] = sol
 	}
-	return true
 }
 
 // logOddsMatrix returns the right-hand sides ln(y_c / y_{c'}) of the
 // equations whose predictions are ys (rows) for every pair c' in cps
 // (columns) — paper Eq. 2.
 func logOddsMatrix(ys []mat.Vec, c int, cps []int) *mat.Dense {
-	m := mat.NewDense(len(ys), len(cps))
+	return logOddsInto(mat.NewDense(len(ys), len(cps)), ys, c, cps)
+}
+
+// logOddsInto is logOddsMatrix writing into m, which is len(ys)×len(cps).
+func logOddsInto(m *mat.Dense, ys []mat.Vec, c int, cps []int) *mat.Dense {
 	for i, y := range ys {
 		row := m.RawRow(i)
 		for j, cp := range cps {

@@ -57,7 +57,7 @@ func (o *OpenAPI) solveAll(x0, y0 mat.Vec, pts, ys []mat.Vec, c, C int) ([]*pair
 			cps = append(cps, cp)
 		}
 	}
-	return o.solve(o.factor(design), design, y0, ys, c, cps)
+	return o.solve(o.factor(design), design, y0, ys, c, cps, newSolveBuffers(len(x0)+1, len(pts)-len(x0), len(cps)))
 }
 
 // designMatrix stacks rows [1, x_i...] — the paper's coefficient matrix A,

@@ -148,7 +148,9 @@ func Poll(c *api.Client, id string) (View, error) {
 // (limit < 0: to the end), invoking fn once per chunk with the absolute
 // row offset the chunk starts at. Binary-codec clients read one streamed
 // frame sequence; JSON clients loop over offset/limit pages. Neither side
-// ever holds more than one chunk.
+// ever holds more than one chunk. A binary chunk's rows share memory in
+// blocks of up to 256 KiB, so an fn that keeps a single row past its call
+// should copy it.
 func StreamProbs(c *api.Client, id string, offset, limit int, fn func(offset int, probs [][]float64) error) error {
 	if c.CodecName() == wire.NameBinary {
 		return streamBinary(c, id, OpPredict, offset, limit, func(fr *wire.FrameReader, at int) (int, error) {

@@ -1,6 +1,9 @@
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file holds the fused GEMM epilogue: the per-element bias-add,
 // activation and activity-mask capture that batched layer forwards used to
@@ -110,10 +113,16 @@ func applyEpilogueRows(dst *Dense, epi *Epilogue, i0, i1 int) {
 			}
 		}
 		if epi.Act != ActIdentity {
+			// The activation selects bits rather than branching: a batch's
+			// unrelated rows make v's sign unpredictable, and the compiler
+			// turns this select into a conditional move. It stores exactly
+			// what `if v <= 0 { row[j] = leak * v }` stores.
 			for j, v := range row {
-				if v <= 0 {
-					row[j] = leak * v
+				b := math.Float64bits(v)
+				if w := math.Float64bits(leak * v); v <= 0 {
+					b = w
 				}
+				row[j] = math.Float64frombits(b)
 			}
 		}
 	}

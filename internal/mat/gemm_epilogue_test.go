@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -210,5 +211,42 @@ func TestEpilogueMaskCapturesPostBiasPreActivation(t *testing.T) {
 	}
 	if dst.At(0, 0) != 2 || dst.At(0, 1) != 0 {
 		t.Fatalf("dst = [%v %v], want [2 0]", dst.At(0, 0), dst.At(0, 1))
+	}
+}
+
+// TestEpilogueActivationSelectMatchesBranch: the activation's bit select
+// stores exactly what the branchy `if v <= 0 { v = leak*v }` stores, on the
+// values where a select could differ from a branch — NaN payloads of both
+// signs, signed zeros, subnormals, infinities — for plain ReLU and a leak.
+func TestEpilogueActivationSelectMatchesBranch(t *testing.T) {
+	vals := []float64{
+		math.Float64frombits(0x7ff8000000000001), // quiet NaN with a payload
+		math.Float64frombits(0xfff8000000000002), // negative quiet NaN
+		math.Float64frombits(0x7ff0000000000003), // signalling NaN
+		math.Float64frombits(0xfff0000000000004), // negative signalling NaN
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), -math.Float64frombits(0x000fffffffffffff),
+		math.Inf(1), math.Inf(-1), 1, -1, math.MaxFloat64, -math.MaxFloat64,
+	}
+	for _, act := range []ActKind{ActReLU, ActLeakyReLU} {
+		for _, leak := range []float64{0, 0.01} {
+			dst := NewDenseFrom(1, len(vals), append([]float64(nil), vals...))
+			applyEpilogueRows(dst, &Epilogue{Act: act, Leak: leak}, 0, 1)
+			l := leak
+			if act == ActReLU {
+				l = 0
+			}
+			for j, v := range vals {
+				want := v
+				if v <= 0 {
+					want = l * v
+				}
+				if got := dst.At(0, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v leak %v: %#016x -> %#016x, branch gives %#016x",
+						act, leak, math.Float64bits(v), math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+		}
 	}
 }

@@ -26,8 +26,7 @@ func benchRows(rows, cols int) [][]float64 {
 	return m
 }
 
-func benchCodec(b *testing.B, codec Codec, rows int) {
-	const cols = 8
+func benchCodec(b *testing.B, codec Codec, rows, cols int) {
 	m := benchRows(rows, cols)
 	var buf bytes.Buffer
 	if err := codec.EncodeMat(&buf, "xs", m); err != nil {
@@ -52,11 +51,17 @@ func benchCodec(b *testing.B, codec Codec, rows int) {
 	b.ReportMetric(float64(buf.Len()), "wirebytes/op")
 }
 
-func BenchmarkWireBatchJSON_16(b *testing.B)      { benchCodec(b, JSON{}, 16) }
-func BenchmarkWireBatchJSON_256(b *testing.B)     { benchCodec(b, JSON{}, 256) }
-func BenchmarkWireBatchJSON_4096(b *testing.B)    { benchCodec(b, JSON{}, 4096) }
-func BenchmarkWireBatchBinary_16(b *testing.B)    { benchCodec(b, Binary{}, 16) }
-func BenchmarkWireBatchBinary_256(b *testing.B)   { benchCodec(b, Binary{}, 256) }
-func BenchmarkWireBatchBinary_4096(b *testing.B)  { benchCodec(b, Binary{}, 4096) }
-func BenchmarkWireBatchFloat32_256(b *testing.B)  { benchCodec(b, Binary{Float32: true}, 256) }
-func BenchmarkWireBatchFloat32_4096(b *testing.B) { benchCodec(b, Binary{Float32: true}, 4096) }
+func BenchmarkWireBatchJSON_16(b *testing.B)      { benchCodec(b, JSON{}, 16, 8) }
+func BenchmarkWireBatchJSON_256(b *testing.B)     { benchCodec(b, JSON{}, 256, 8) }
+func BenchmarkWireBatchJSON_4096(b *testing.B)    { benchCodec(b, JSON{}, 4096, 8) }
+func BenchmarkWireBatchBinary_16(b *testing.B)    { benchCodec(b, Binary{}, 16, 8) }
+func BenchmarkWireBatchBinary_256(b *testing.B)   { benchCodec(b, Binary{}, 256, 8) }
+func BenchmarkWireBatchBinary_4096(b *testing.B)  { benchCodec(b, Binary{}, 4096, 8) }
+func BenchmarkWireBatchFloat32_256(b *testing.B)  { benchCodec(b, Binary{Float32: true}, 256, 8) }
+func BenchmarkWireBatchFloat32_4096(b *testing.B) { benchCodec(b, Binary{Float32: true}, 4096, 8) }
+
+// Frames at the shapes the stack moves: one interpret-784 probe (786 rows
+// of 784 pixels) and one batch-784 request (256 rows). Not in the
+// committed trajectory snapshots, so the gate does not check them.
+func BenchmarkWireBatchBinary_786x784(b *testing.B) { benchCodec(b, Binary{}, 786, 784) }
+func BenchmarkWireBatchBinary_256x784(b *testing.B) { benchCodec(b, Binary{}, 256, 784) }

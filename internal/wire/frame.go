@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // Binary frame layout (all integers little-endian):
@@ -34,6 +35,39 @@ const (
 	frameHeader  = 16
 	flagFloat32  = 1 << 0
 )
+
+// hostLE reports whether this host stores a float64 in the frame's byte
+// order, so that a float64 payload and the memory of a []float64 are the
+// same bytes. Detected once; when it holds, float64 frames move between
+// the socket and float memory in one copy (floatBytes), and float32 frames
+// and big-endian hosts take the per-element loops. Tests clear it to drive
+// the loops.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// frameBlock caps the memory a decoder commits at a time: a frame's
+// payload is read in blocks of whole rows whose floats and row headers
+// take at most this many bytes (one row, if a row is larger), each
+// allocated only once the block before it has arrived.
+const frameBlock = 256 << 10
+
+// rowHeader is the size of a []float64 header on a 64-bit host, the cost
+// of a decoded row besides its floats.
+const rowHeader = 24
+
+// floatBytes returns v's memory as bytes, without copying. On a hostLE host
+// that is exactly v's float64 frame payload. The view covers v's own
+// elements and nothing else, which is what the race build's checkptr
+// verifies.
+func floatBytes(v []float64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8)
+}
+
+// native reports whether a payload of this element width moves as raw
+// memory: float64 on a hostLE host.
+func native(f32 bool) bool { return !f32 && hostLE }
 
 // Binary is the float-frame codec. Float32 selects the 4-byte payload
 // encoding for frames this value writes; decoding always honors the
@@ -92,10 +126,12 @@ func WriteFrame(w io.Writer, m [][]float64, f32 bool) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	buf := make([]byte, cols*elemSize(f32))
+	var buf []byte
+	if !native(f32) {
+		buf = make([]byte, cols*elemSize(f32))
+	}
 	for _, row := range m {
-		encodeRow(buf, row, f32)
-		if _, err := w.Write(buf); err != nil {
+		if _, err := w.Write(rowPayload(buf, row, f32)); err != nil {
 			return err
 		}
 	}
@@ -142,8 +178,19 @@ func elemSize(f32 bool) int {
 	return 8
 }
 
-// encodeRow writes row's payload into dst, which holds exactly
+// rowPayload returns row's payload bytes: the row's own memory on the
+// native path, else row encoded into buf, which holds exactly
 // len(row)·elemSize(f32) bytes.
+func rowPayload(buf []byte, row []float64, f32 bool) []byte {
+	if native(f32) {
+		return floatBytes(row)
+	}
+	encodeRow(buf, row, f32)
+	return buf
+}
+
+// encodeRow writes row's payload into dst, which holds exactly
+// len(row)·elemSize(f32) bytes, one element at a time.
 func encodeRow(dst []byte, row []float64, f32 bool) {
 	if f32 {
 		for j, v := range row {
@@ -160,8 +207,8 @@ func encodeRow(dst []byte, row []float64, f32 bool) {
 var errBodyClosed = errors.New("wire: read on closed frame body")
 
 // FrameBody streams the frame WriteFrame would write, as an io.ReadCloser
-// that encodes each row only when a Read reaches it — straight into the
-// caller's buffer when a whole row fits — so the frame is never staged in
+// that takes each row's bytes only when a Read reaches it — on the native
+// path straight from the row's memory — so the frame is never staged in
 // memory. It is the request body of a binary matrix POST.
 //
 // Lifetime: the body reads the caller's rows in place, so they must not
@@ -175,9 +222,9 @@ type FrameBody struct {
 	f32     bool
 	size    int64
 	hdr     [frameHeader]byte
-	pending []byte // encoded bytes not yet read: the header or a row's tail
-	rowBuf  []byte // one encoded row, for a Read too short to take it whole
-	next    int    // next row to encode
+	pending []byte // payload bytes not yet read: the header or a row's tail
+	rowBuf  []byte // one encoded row, off the native path
+	next    int    // next row to send
 	closed  chan struct{}
 }
 
@@ -195,6 +242,9 @@ func NewFrameBody(m [][]float64, f32 bool) (*FrameBody, error) {
 		size:   frameHeader + int64(len(m))*int64(cols)*int64(elemSize(f32)),
 		hdr:    frameHeaderFor(len(m), cols, f32),
 		closed: make(chan struct{}),
+	}
+	if !native(f32) {
+		b.rowBuf = make([]byte, cols*elemSize(f32))
 	}
 	b.pending = b.hdr[:]
 	return b, nil
@@ -219,19 +269,8 @@ func (b *FrameBody) Read(p []byte) (int, error) {
 			if b.next == len(b.m) {
 				break
 			}
-			row := b.m[b.next]
-			rowLen := len(row) * elemSize(b.f32)
+			b.pending = rowPayload(b.rowBuf, b.m[b.next], b.f32)
 			b.next++
-			if len(p) >= rowLen {
-				encodeRow(p[:rowLen], row, b.f32)
-				p, n = p[rowLen:], n+rowLen
-				continue
-			}
-			if b.rowBuf == nil {
-				b.rowBuf = make([]byte, rowLen)
-			}
-			encodeRow(b.rowBuf, row, b.f32)
-			b.pending = b.rowBuf
 		}
 		k := copy(p, b.pending)
 		b.pending, p, n = b.pending[k:], p[k:], n+k
@@ -248,7 +287,7 @@ func (b *FrameBody) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.isClosed() {
-		b.m = nil
+		b.m, b.pending = nil, nil
 		close(b.closed)
 	}
 	return nil
@@ -337,25 +376,61 @@ func readFrame(lr *limited) ([][]float64, error) {
 	if perRow > math.MaxInt64/rows || rows*perRow > lr.n {
 		return nil, fmt.Errorf("wire: frame declares %dx%d payload: %w", rows, cols, ErrTooLarge)
 	}
-	out := make([][]float64, rows)
-	buf := make([]byte, cols*elem)
-	for i := range out {
-		if _, err := io.ReadFull(lr, buf); err != nil {
-			return nil, fmt.Errorf("wire: read frame payload row %d: %w", i, lr.sticky(noEOF(err)))
+	// The payload arrives in blocks of whole rows. Each block's floats are
+	// allocated only once the block before has arrived, and the row list
+	// starts at one block's rows, so a header that declares the whole
+	// budget and then stops commits at most one block. Rows are capped
+	// sub-slices of their block: an append to one row reallocates instead
+	// of writing into the next.
+	blockRows := rows // a zero-col frame's rows all arrive with its header
+	if cols > 0 {
+		blockRows = max(1, frameBlock/(cols*8+rowHeader))
+	}
+	c, rowBytes := int(cols), int(cols*elem)
+	out := make([][]float64, 0, min(rows, blockRows))
+	var raw []byte // the block's bytes, off the native path
+	for int64(len(out)) < rows {
+		n := int(min(blockRows, rows-int64(len(out))))
+		if len(out)+n > cap(out) {
+			// Room for every row up front would let the header alone
+			// commit it; double the row list as rows arrive instead.
+			grown := make([][]float64, len(out), min(rows, int64(max(2*cap(out), len(out)+n))))
+			copy(grown, out)
+			out = grown
 		}
-		row := make([]float64, cols)
-		if f32 {
-			for j := range row {
-				row[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:])))
+		blk := make([]float64, n*c)
+		buf := floatBytes(blk)
+		if !native(f32) {
+			if raw == nil {
+				raw = make([]byte, n*rowBytes)
 			}
-		} else {
-			for j := range row {
-				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
-			}
+			buf = raw[:n*rowBytes]
 		}
-		out[i] = row
+		if k, err := io.ReadFull(lr, buf); err != nil {
+			return nil, fmt.Errorf("wire: read frame payload row %d: %w", len(out)+k/rowBytes, lr.sticky(noEOF(err)))
+		}
+		if !native(f32) {
+			decodeFloats(blk, buf, f32)
+		}
+		for i := range n {
+			out = append(out, blk[i*c:(i+1)*c:(i+1)*c])
+		}
 	}
 	return out, nil
+}
+
+// decodeFloats decodes src, the payload of len(dst) elements, into dst one
+// element at a time.
+func decodeFloats(dst []float64, src []byte, f32 bool) {
+	if f32 {
+		for j := range dst {
+			dst[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:])))
+		}
+		return
+	}
+	for j := range dst {
+		dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*j:]))
+	}
 }
 
 // noEOF converts a bare io.EOF into io.ErrUnexpectedEOF: past the first
