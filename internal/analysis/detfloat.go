@@ -31,16 +31,13 @@ var orderedOutputPkgs = map[string]bool{
 
 // Detfloat enforces the determinism contract on the bit-identity packages.
 //
-// Three rule groups:
+// Two rule groups (how a product meets its add is roundedproduct's rule):
 //
-//  1. math.FMA is forbidden: it fuses the multiply-add rounding step, so a
-//     kernel using it computes different bits than the documented
-//     mul-then-round-then-add chain.
-//  2. Ambient nondeterminism is forbidden in non-test code: time.Now /
+//  1. Ambient nondeterminism is forbidden in non-test code: time.Now /
 //     time.Since and the global math/rand functions (rand.Float64 etc.).
 //     Seeded generators are the sanctioned idiom — constructing one with
 //     rand.New / rand.NewSource and calling methods on it is allowed.
-//  3. Inside `for range` over a map, iteration order is randomized per run,
+//  2. Inside `for range` over a map, iteration order is randomized per run,
 //     so the loop body must be order-independent: appending to an outer
 //     slice, accumulating into an outer float, or making a side-effect-only
 //     call that consumes the loop variables all bake map order into the
@@ -48,7 +45,7 @@ var orderedOutputPkgs = map[string]bool{
 //     input slice and uses the map only for membership.)
 var Detfloat = &Analyzer{
 	Name: "detfloat",
-	Doc: "forbid FMA, wall-clock and global-RNG reads, and map-iteration-ordered " +
+	Doc: "forbid wall-clock and global-RNG reads and map-iteration-ordered " +
 		"output in the bit-identity packages",
 	Run: runDetfloat,
 }
@@ -117,8 +114,6 @@ func checkForbiddenCall(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	switch {
-	case pkg == "math" && name == "FMA":
-		pass.Reportf(call.Pos(), "math.FMA fuses the multiply-add rounding step and breaks the mul-then-add bit-identity contract")
 	case pkg == "time" && (name == "Now" || name == "Since" || name == "Until"):
 		pass.Reportf(call.Pos(), "time.%s reads the wall clock inside a bit-identity package; results must be reproducible across runs", name)
 	case (pkg == "math/rand" || pkg == "math/rand/v2") && globalRandFuncs[name]:
@@ -216,6 +211,13 @@ func checkMapRangeAssign(pass *Pass, rng *ast.RangeStmt, as *ast.AssignStmt) {
 			}
 		}
 	case token.ASSIGN, token.DEFINE:
+		// The fused step x = math.FMA(a, b, x) into an outer float
+		// accumulates too.
+		for _, lhs := range floatAccumulations(pass, as) {
+			if declaredOutside(pass.TypesInfo, rng, lhs) {
+				pass.Reportf(as.Pos(), "floating-point accumulation in map iteration order is nondeterministic; iterate a sorted or insertion-ordered slice instead")
+			}
+		}
 		// append(outer, ...) assigned back to an outer variable builds
 		// ordered output from map order.
 		for i, rhs := range as.Rhs {

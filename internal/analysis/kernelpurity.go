@@ -16,22 +16,21 @@ import (
 // argument rests on all paths performing the same additions in the same
 // sequence.
 //
-// Four shapes are flagged in the gemm*.go files:
+// Three shapes are flagged in the gemm*.go files. An accumulation is a
+// float += or -=, or the fused step x = math.FMA(a, b, x) the kernels take
+// per product (roundedproduct requires it).
 //
 //  1. Descending accumulation: a for loop stepping its variable downward
-//     while compound-assigning into a float. Reversing the k loop reorders
-//     the additions and changes the rounded result.
+//     while accumulating into a float. Reversing the k loop reorders the
+//     additions and changes the rounded result.
 //  2. Partial-sum recombination: adding together two variables that were
-//     each built up with += inside a loop. Splitting one output element's
+//     each accumulated inside a loop. Splitting one output element's
 //     sum into lanes and combining at the end is the classic vectorization
 //     move — and exactly the reassociation that breaks bit-identity.
 //     (Distinct accumulators for distinct output elements, as in the 4x4
 //     microkernel's s00..s31, are fine: they are never added to each
 //     other.)
-//  3. math.FMA anywhere in kernel code: a fused multiply-add rounds once
-//     where the kernel contract requires two roundings per step (multiply,
-//     then add) — the same reason the assembly tiers avoid VFMADD/VFMLA.
-//  4. Float reductions inside epilogue hooks (functions named after or
+//  3. Float reductions inside epilogue hooks (functions named after or
 //     methods on Epilogue): the fused epilogue is per-element
 //     post-accumulation work only; a running scalar sum there re-enters the
 //     reduction the GEMM has already committed.
@@ -67,15 +66,12 @@ func runKernelpurity(pass *Pass) error {
 
 func checkKernelFunc(pass *Pass, fd *ast.FuncDecl) {
 	epilogue := epilogueHook(pass, fd)
-	// Accumulators: identifiers that receive a float += inside any loop.
+	// Accumulators: identifiers that accumulate a float inside any loop.
 	// Nested loops revisit inner assignments, so epilogue reports dedupe by
 	// position.
 	accumulators := make(map[types.Object]bool)
 	reported := make(map[token.Pos]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isMathFMA(pass, call) {
-			pass.Reportf(call.Pos(), "math.FMA rounds once; kernel code must keep the separate multiply and add roundings every tier performs per step")
-		}
 		loopBody := loopBodyOf(n)
 		if loopBody == nil {
 			return true
@@ -85,22 +81,20 @@ func checkKernelFunc(pass *Pass, fd *ast.FuncDecl) {
 		}
 		ast.Inspect(loopBody, func(m ast.Node) bool {
 			as, ok := m.(*ast.AssignStmt)
-			if !ok || as.Tok != token.ADD_ASSIGN {
+			if !ok {
 				return true
 			}
-			for _, lhs := range as.Lhs {
+			for _, lhs := range floatAccumulations(pass, as) {
 				ident, ok := ast.Unparen(lhs).(*ast.Ident)
 				if !ok {
 					continue
 				}
-				if tv, ok := pass.TypesInfo.Types[lhs]; ok && isFloat(tv.Type) {
-					if obj := pass.TypesInfo.Uses[ident]; obj != nil {
-						if epilogue && !reported[as.Pos()] {
-							reported[as.Pos()] = true
-							pass.Reportf(as.Pos(), "epilogue hooks are per-element post-accumulation only; a running float reduction here re-enters the summation the GEMM already committed")
-						}
-						accumulators[obj] = true
+				if obj := pass.TypesInfo.Uses[ident]; obj != nil {
+					if epilogue && !reported[as.Pos()] {
+						reported[as.Pos()] = true
+						pass.Reportf(as.Pos(), "epilogue hooks are per-element post-accumulation only; a running float reduction here re-enters the summation the GEMM already committed")
 					}
+					accumulators[obj] = true
 				}
 			}
 			return true
@@ -124,16 +118,6 @@ func checkKernelFunc(pass *Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// isMathFMA reports whether the call is math.FMA.
-func isMathFMA(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	obj := pass.TypesInfo.Uses[sel.Sel]
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "math" && obj.Name() == "FMA"
 }
 
 // epilogueHook reports whether fd is fused-epilogue code: a function whose
@@ -187,18 +171,12 @@ func descendingLoop(n ast.Node) bool {
 	return false
 }
 
-// accumulatesFloat reports whether the block compound-assigns into a float.
+// accumulatesFloat reports whether the block accumulates into a float.
 func accumulatesFloat(pass *Pass, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			if tv, ok := pass.TypesInfo.Types[lhs]; ok && isFloat(tv.Type) {
-				found = true
-			}
+		if as, ok := n.(*ast.AssignStmt); ok && len(floatAccumulations(pass, as)) > 0 {
+			found = true
 		}
 		return !found
 	})

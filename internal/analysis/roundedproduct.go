@@ -14,24 +14,27 @@ var roundedProductPkgs = map[string]bool{
 	"repro/internal/plm": true,
 }
 
-// Roundedproduct flags a float product that feeds an add or subtract
-// unconverted: x + a*b, x - a*b, a*b - x, s += a*b, s -= a*b.
+// Roundedproduct requires a float product that feeds an add or subtract to
+// be one fused multiply-add, math.FMA(a, b, c): it flags x + a*b, x - a*b,
+// a*b - x, s += a*b and s -= a*b, and the same shapes with the product
+// rounded first by a conversion, x + float64(a*b).
 //
-// The Go spec lets a compiler fuse such a pair into one multiply-add with a
-// single rounding, unless an explicit conversion rounds the product first
-// ("An explicit floating-point type conversion rounds to the precision of
-// the target type, preventing fusion"). The arm64 compiler does fuse, and
-// amd64 does not, so without the conversion the scalar Go loops round once
-// per step on arm64 where every vector kernel rounds twice — and the
-// tiers stop agreeing bit for bit. The sanctioned shape is float64(a*b)
-// (float32(a*b) for float32 operands). The check is syntactic: a product
-// stored in a variable and added in a later statement can be fused too,
-// which the CI step that scans the arm64 assembly for fused instructions
-// catches.
+// Every kernel tier takes each product-accumulate step as one fused
+// multiply-add (VFMADD/VFNMADD on amd64, VFMLA on arm64), which rounds
+// once; math.FMA is the Go loops' spelling of that step on every
+// architecture. A plain a*b + c is left to the compiler, and the Go spec
+// lets it either fuse the pair or not: the arm64 compiler fuses, amd64
+// does not, so such a loop would round twice per step on amd64 where every
+// vector kernel rounds once — and the tiers would stop agreeing bit for
+// bit. float64(a*b) + c rounds twice on every architecture. The check is
+// syntactic: a product stored in a variable and added in a later statement
+// escapes it; the arm64 compiler may fuse that pair, which the CI step
+// mapping every fused instruction of the arm64 build back to a math.FMA
+// call catches.
 var Roundedproduct = &Analyzer{
 	Name: "roundedproduct",
-	Doc: "a float product feeding an add or subtract must be converted " +
-		"(float64(a*b)) so the compiler cannot fuse the pair into one rounding",
+	Doc: "a float product feeding an add or subtract must be one fused " +
+		"multiply-add, math.FMA(a, b, c), the step every kernel tier takes",
 	Run: runRoundedproduct,
 }
 
@@ -63,9 +66,16 @@ func runRoundedproduct(pass *Pass) error {
 	return nil
 }
 
-// reportFloatProduct reports e if it is a non-constant float product.
+// reportFloatProduct reports e if it is a non-constant float product, bare
+// or inside a conversion to a float type.
 func reportFloatProduct(pass *Pass, e ast.Expr) {
-	mul, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	e = ast.Unparen(e)
+	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
+		if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && isFloat(tv.Type) {
+			e = ast.Unparen(call.Args[0])
+		}
+	}
+	mul, ok := e.(*ast.BinaryExpr)
 	if !ok || mul.Op != token.MUL {
 		return
 	}
@@ -73,6 +83,44 @@ func reportFloatProduct(pass *Pass, e ast.Expr) {
 	if !ok || tv.Value != nil || !isFloat(tv.Type) {
 		return
 	}
-	name := types.TypeString(tv.Type, func(*types.Package) string { return "" })
-	pass.Reportf(mul.Pos(), "float product feeding an add or subtract may be fused into one rounding (arm64 fuses); convert it: %s(…*…)", name)
+	pass.Reportf(mul.Pos(), "float product feeding an add or subtract must be one fused step, as on every kernel tier: math.FMA(a, b, c)")
+}
+
+// isMathFMA reports whether the call is math.FMA.
+func isMathFMA(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	obj := pass.TypesInfo.Uses[sel.Sel]
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "math" && obj.Name() == "FMA"
+}
+
+// floatAccumulations returns the float destinations the statement
+// accumulates into: every float left side of a += or -=, or the single
+// destination of a fused step x = math.FMA(a, b, x), whose addend is the
+// destination itself.
+func floatAccumulations(pass *Pass, as *ast.AssignStmt) []ast.Expr {
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN:
+		var out []ast.Expr
+		for _, lhs := range as.Lhs {
+			if tv, ok := pass.TypesInfo.Types[lhs]; ok && isFloat(tv.Type) {
+				out = append(out, lhs)
+			}
+		}
+		return out
+	case token.ASSIGN:
+		if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+			return nil
+		}
+		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+		if !ok || len(call.Args) != 3 || !isMathFMA(pass, call) {
+			return nil
+		}
+		if types.ExprString(ast.Unparen(call.Args[2])) == types.ExprString(ast.Unparen(as.Lhs[0])) {
+			return as.Lhs
+		}
+	}
+	return nil
 }

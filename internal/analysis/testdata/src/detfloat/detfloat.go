@@ -13,12 +13,14 @@ type sink struct{ vals []float64 }
 
 func (s *sink) insert(key string, v float64) { s.vals = append(s.vals, v) }
 
+// How a product meets its add is roundedproduct's rule: detfloat passes
+// both the fused step and the bare shape.
 func fma(a, b, c float64) float64 {
-	return math.FMA(a, b, c) // want "math.FMA fuses the multiply-add rounding step"
+	return math.FMA(a, b, c)
 }
 
 func mulAdd(a, b, c float64) float64 {
-	return a*b + c // the sanctioned two-rounding shape
+	return a*b + c
 }
 
 func clock() int64 {
@@ -42,6 +44,15 @@ func mapAccumulate(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {
 		sum += v // want "floating-point accumulation in map iteration order"
+	}
+	return sum
+}
+
+// A fused step into an outer float is an accumulation too.
+func mapFusedAccumulate(m map[string]float64, w float64) float64 {
+	var sum float64
+	for _, v := range m {
+		sum = math.FMA(v, w, sum) // want "floating-point accumulation in map iteration order"
 	}
 	return sum
 }

@@ -6,35 +6,41 @@ package a
 
 import "math"
 
-// The fallback shape the NEON kernel must match: one ascending-t chain per
-// packed lane.
+// The fallback shape the NEON kernel must match: one ascending-t chain of
+// fused steps per packed lane, as VFMLA takes them.
 func dotPackFallback(pack, b0 []float64, k int, out *[4]float64) {
 	var s0, s1 float64
 	for t := 0; t < k; t++ {
-		s0 += pack[4*t] * b0[t]
-		s1 += pack[4*t+1] * b0[t]
+		s0 = math.FMA(pack[4*t], b0[t], s0)
+		s1 = math.FMA(pack[4*t+1], b0[t], s1)
 	}
 	out[0] = s0
 	out[1] = s1
 }
 
-// math.FMA contracts multiply and add into one rounding — the Go-level twin
-// of the VFMLA/VFMADD instructions the assembly tiers deliberately avoid.
-func dotPackFMA(pack, b0 []float64, k int) float64 {
+// A fused chain run backwards reorders the steps like a += chain does.
+func dotPackFusedDescending(pack, b0 []float64, k int) float64 {
 	var s float64
-	for t := 0; t < k; t++ {
-		s = math.FMA(pack[4*t], b0[t], s) // want "math.FMA rounds once"
+	for t := k - 1; t >= 0; t-- { // want "descending-index accumulation reorders the additions"
+		s = math.FMA(pack[4*t], b0[t], s)
 	}
 	return s
 }
 
-// FMA outside a loop is just as contract-breaking.
-func fmaStep(a, b, acc float64) float64 {
-	return math.FMA(a, b, acc) // want "math.FMA rounds once"
+// Two fused chains of one element recombined at the end reassociate it.
+func dotPackFusedSplit(a, b []float64) float64 {
+	var s0, s1 float64
+	for k := 0; k+1 < len(a); k += 2 {
+		s0 = math.FMA(a[k], b[k], s0)
+		s1 = math.FMA(a[k+1], b[k+1], s1)
+	}
+	return s0 + s1 // want "adding partial sums s0 and s1 reassociates the reduction"
 }
 
-// A deliberately contracted reference path would carry its own parity
-// tests; the annotation records that audit.
-func fmaAudited(a, b, acc float64) float64 {
-	return math.FMA(a, b, acc) //plmvet:allow(kernelpurity)
+// A math.FMA whose addend is not the destination accumulates nothing: a
+// descending loop of independent fused steps reorders no chain.
+func scaleRowsDescending(dst, v []float64, a, c float64) {
+	for k := len(dst) - 1; k >= 0; k-- {
+		dst[k] = math.FMA(a, v[k], c)
+	}
 }

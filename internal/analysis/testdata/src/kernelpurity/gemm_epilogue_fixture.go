@@ -5,6 +5,8 @@
 // scopes it as kernel code.
 package a
 
+import "math"
+
 // Epilogue mirrors the mat.Epilogue hook the analyzer keys on.
 type Epilogue struct {
 	Bias []float64
@@ -41,6 +43,17 @@ func applyEpilogueRowsReduce(rows [][]float64, epi *Epilogue) float64 {
 	for _, row := range rows {
 		for _, v := range row {
 			total += v // want "per-element post-accumulation only"
+		}
+	}
+	return total
+}
+
+// A fused running sum is a reduction all the same.
+func applyEpilogueRowsFusedReduce(rows [][]float64, epi *Epilogue) float64 {
+	var total float64
+	for _, row := range rows {
+		for j, v := range row {
+			total = math.FMA(v, epi.Bias[j], total) // want "per-element post-accumulation only"
 		}
 	}
 	return total

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -235,6 +236,26 @@ func TestMalformedBinaryRequestsAnswer400(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("hostile dims answered %s, want 413", resp.Status)
+	}
+}
+
+// TestZeroColRowFloodAnswers413: a 16-byte binary request declaring
+// 4,194,304 zero-col rows would decode to ~100 MB of row headers; frame
+// admission charges each row its header, so the default 64 MiB cap
+// refuses it with 413 instead of allocating.
+func TestZeroColRowFloodAnswers413(t *testing.T) {
+	_, ts := newTestServer(t)
+	hdr := make([]byte, 16)
+	copy(hdr, "PLMB")
+	hdr[4] = wire.FrameVersion
+	binary.LittleEndian.PutUint32(hdr[8:], 1<<22) // rows; cols stays 0
+	resp, err := http.Post(ts.URL+"/v1/batch", wire.ContentTypeBinary, bytes.NewReader(hdr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("zero-col row flood answered %s, want 413", resp.Status)
 	}
 }
 

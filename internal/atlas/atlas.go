@@ -268,7 +268,10 @@ func decodeBody(body []byte) (string, *plm.Linear, error) {
 		return "", nil, err
 	}
 	rest := body[2+len(key):]
-	fr := wire.NewFrameReader(bytes.NewReader(rest), int64(len(rest))+1)
+	// The frame reader's admission charges each row a 24-byte header on
+	// top of its floats; every W and B row holds at least one 8-byte
+	// float, so four times the record's bytes admits any frame it holds.
+	fr := wire.NewFrameReader(bytes.NewReader(rest), 4*int64(len(rest))+1)
 	wRows, err := fr.Next()
 	if err != nil {
 		return "", nil, fmt.Errorf("atlas: decode W: %w", err)

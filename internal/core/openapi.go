@@ -185,8 +185,8 @@ func checkInstance(model plm.Model, x0 mat.Vec, c int) error {
 // interpret runs Algorithm 1 from a known anchor prediction y0. Each
 // iteration issues its d+k sample-set probes as one batch (plm.PredictAll),
 // so a batch-capable or aggregated model sees one round trip per iteration.
-// The design matrix depends only on the points, so its factor runs while
-// the probes are in flight (DESIGN.md §17).
+// The design matrix depends only on the points, so it is filled and
+// factored while the probes are in flight (DESIGN.md §17).
 func (o *OpenAPI) interpret(model plm.Model, x0, y0 mat.Vec, c int) (*plm.Interpretation, error) {
 	d := model.Dim()
 	C := model.Classes()
@@ -207,10 +207,9 @@ func (o *OpenAPI) interpret(model plm.Model, x0, y0 mat.Vec, c int) (*plm.Interp
 	for iter := 1; iter <= o.cfg.MaxIterations; iter++ {
 		cube := sample.NewHypercube(x0, r)
 		pts := cube.SampleN(o.cfg.RNG, d+o.cfg.ExtraChecks)
-		fillDesign(design, x0, pts)
 		// One batch round trip when the API supports it, per-point probes
 		// otherwise; either way each point costs one query.
-		ys, f := o.probeWhileFactoring(model, pts, design)
+		ys, f := o.probeWhileFactoring(model, x0, pts, design)
 		queries += len(pts)
 
 		pairs, ok := o.solve(f, design, y0, ys, c, cps, bufs)
@@ -244,14 +243,17 @@ func (o *OpenAPI) interpret(model plm.Model, x0, y0 mat.Vec, c int) (*plm.Interp
 }
 
 // probeWhileFactoring probes pts on the caller's goroutine while a second
-// goroutine factors the round's design matrix, and returns once both are
-// done. The factor goroutine is joined on every way out, a panicking model
-// included, so none outlives the round.
-func (o *OpenAPI) probeWhileFactoring(model plm.Model, pts []mat.Vec, design *mat.Dense) ([]mat.Vec, roundFactor) {
+// goroutine fills the round's design matrix from x0 and pts and factors
+// it, and returns once both are done. The probe reads only pts, so the
+// fill is off the round's serial path too. The factor goroutine is joined
+// on every way out, a panicking model included, so none outlives the
+// round.
+func (o *OpenAPI) probeWhileFactoring(model plm.Model, x0 mat.Vec, pts []mat.Vec, design *mat.Dense) ([]mat.Vec, roundFactor) {
 	var f roundFactor
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		fillDesign(design, x0, pts)
 		f = o.factor(design)
 	}()
 	defer func() { <-done }() // a panicking model unwinds through here

@@ -186,7 +186,7 @@ func (m *Dense) MulVecT(x Vec) Vec {
 			continue
 		}
 		for j, a := range row {
-			out[j] += float64(a * xi)
+			out[j] = math.FMA(a, xi, out[j])
 		}
 	}
 	return out

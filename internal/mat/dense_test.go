@@ -86,13 +86,14 @@ func TestDenseMulVec(t *testing.T) {
 }
 
 // mulVecLoop is the scalar loop MulVec ran before it became MulVecInto:
-// one ascending-j dot product per output row.
+// one ascending-j dot product per output row, one fused multiply-add per
+// product.
 func mulVecLoop(m *Dense, x Vec) Vec {
 	out := make(Vec, m.rows)
 	for i := 0; i < m.rows; i++ {
 		var s float64
 		for j, a := range m.data[i*m.cols : (i+1)*m.cols] {
-			s += float64(a * x[j])
+			s = math.FMA(a, x[j], s)
 		}
 		out[i] = s
 	}

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 )
@@ -16,10 +17,11 @@ import (
 // instead of once per element.
 //
 // Crucially, each output element still owns exactly one accumulator that
-// sums its products in ascending-k order — the same order MulVec and the
-// naive loop use — so the blocked results are bit-identical to the scalar
-// path. The blocking changes which elements make progress concurrently,
-// never the order of operations within one element.
+// takes its products in ascending-k order, one fused multiply-add per
+// product (s = fma(a, b, s): one rounding per step) — the same steps MulVec
+// and the naive loop take — so the blocked results are bit-identical to
+// the scalar path. The blocking changes which elements make progress
+// concurrently, never the operations within one element.
 //
 // Kernel tiers (see gemm_tier.go; DESIGN.md §14 has the full table): the
 // dispatch ladder is selected by ActiveKernelTier, highest supported tier
@@ -30,16 +32,20 @@ import (
 //	                   step; dotPack8x4 (one ZMM) for the 8-row remainder
 //	                   (gemm_amd64.s)
 //	TierAVX2    amd64  dotPack4x4: 4 packed A rows × 4 B rows per call,
-//	                   one YMM lane per A row (gemm_amd64.s)
+//	                   one YMM lane per A row (gemm_amd64.s); single rows
+//	                   take dotRow8, eight scalar chains (AVX-512 too)
 //	TierNEON    arm64  dotPack4x4: 4 packed A rows × 4 B rows per call,
 //	                   two 2-lane vectors per A-row quad (gemm_arm64.s)
 //	TierScalar  all    pure-Go 4x2 register tiles plus a 1-row×4-col tail
 //
 // The LU's level-2 kernels (gemm_level2.go) have AVX2 and AVX-512 rungs
-// too; arm64 runs them in Go. Every assembly kernel is mul-then-add on
-// purpose — no FMA, which rounds once where the scalar path rounds twice —
-// and the pure-Go fallbacks keep the same shape (enforced by the
-// kernelpurity and roundedproduct analyzers, DESIGN.md §11, §18).
+// too; arm64 runs them in Go. Every step of every kernel is one correctly
+// rounded fused multiply-add — VFMADD231PD/SD on amd64, VFMLA on arm64,
+// math.FMA in the pure-Go loops; a subtracting step negates its multiplier
+// first — so any two tiers round each step identically (enforced by the kernelpurity and roundedproduct analyzers
+// and CI's arm64 listing check, DESIGN.md §11, §20). Without hardware FMA
+// (amd64 CPUs older than Haswell) math.FMA is exact but emulated in
+// software, and the vector tiers are not selected.
 //
 // Dispatch coverage notes: MulBTInto, MulInto, MulATInto and MulVecInto all
 // route through gemmBT and therefore through the packed microkernels.
@@ -197,10 +203,10 @@ func (m *Dense) MulAT(b *Dense) *Dense {
 // into pooled scratch so the blocked kernel — including the packed
 // microkernel of the active tier — runs on contiguous rows; the transpose
 // packing is what routes this call onto the same vector path as MulBTInto.
-// Every output element is one ascending-k mul-then-add chain over the shared
-// row dimension — the same order a per-sample accumulation loop over rows
-// 0,1,2,… uses — so batched gradient sums are bit-identical to sequential
-// per-sample accumulation. It returns dst.
+// Every output element is one ascending-k fused multiply-add chain over
+// the shared row dimension — the same steps a per-sample accumulation loop
+// over rows 0,1,2,… takes — so batched gradient sums are bit-identical to
+// sequential per-sample accumulation. It returns dst.
 func (m *Dense) MulATInto(b, dst *Dense) *Dense {
 	if m.rows != b.rows {
 		panic(fmt.Sprintf("mat: MulAT (%dx%d)ᵀ by %dx%d", m.rows, m.cols, b.rows, b.cols))
@@ -286,8 +292,8 @@ func parallelRows(rows, w int, work func(lo, hi int)) {
 // 8-row AVX-512 packs, then the 4-row AVX2/NEON pack, then pure-Go 4x2
 // register tiles, then single rows with a 4-wide column tail); lower rungs
 // pick up the row remainders of higher ones. Every schedule evaluates
-// every output element as one ascending-k mul-then-add chain, so the bits
-// match on all of them.
+// every output element as one ascending-k chain of fused multiply-adds, so
+// the bits match on all of them.
 func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
 	k := a.cols
 	n := b.rows
@@ -320,17 +326,17 @@ func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
 			for t, bv0 := range b0 {
 				bv1 := b1[t]
 				av := x0[t]
-				s00 += float64(av * bv0)
-				s01 += float64(av * bv1)
+				s00 = math.FMA(av, bv0, s00)
+				s01 = math.FMA(av, bv1, s01)
 				av = x1[t]
-				s10 += float64(av * bv0)
-				s11 += float64(av * bv1)
+				s10 = math.FMA(av, bv0, s10)
+				s11 = math.FMA(av, bv1, s11)
 				av = x2[t]
-				s20 += float64(av * bv0)
-				s21 += float64(av * bv1)
+				s20 = math.FMA(av, bv0, s20)
+				s21 = math.FMA(av, bv1, s21)
 				av = x3[t]
-				s30 += float64(av * bv0)
-				s31 += float64(av * bv1)
+				s30 = math.FMA(av, bv0, s30)
+				s31 = math.FMA(av, bv1, s31)
 			}
 			store(d0, j, sub, s00)
 			store(d0, j+1, sub, s01)
@@ -346,10 +352,10 @@ func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
 			x0, x1, x2, x3 := a0[:len(b0)], a1[:len(b0)], a2[:len(b0)], a3[:len(b0)]
 			var s0, s1, s2, s3 float64
 			for t, bv := range b0 {
-				s0 += float64(x0[t] * bv)
-				s1 += float64(x1[t] * bv)
-				s2 += float64(x2[t] * bv)
-				s3 += float64(x3[t] * bv)
+				s0 = math.FMA(x0[t], bv, s0)
+				s1 = math.FMA(x1[t], bv, s1)
+				s2 = math.FMA(x2[t], bv, s2)
+				s3 = math.FMA(x3[t], bv, s3)
 			}
 			store(d0, j, sub, s0)
 			store(d1, j, sub, s1)
@@ -362,9 +368,21 @@ func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
 		ar := a.data[i*k : i*k+k]
 		drow := dst.data[i*dst.cols : i*dst.cols+n]
 		j := 0
+		if tier >= TierAVX2 && k > 0 {
+			// Hardware FMA: eight B rows per dotRow8 call. On amd64 the Go
+			// loops below test for hardware FMA at every math.FMA, and the
+			// compiler spills their accumulators around the software
+			// fallback's call.
+			var out [8]float64
+			for ; j+8 <= n; j += 8 {
+				dotRow8(&ar[0], &b.data[j*k], k, &out)
+				store4(drow, j, sub, out[0], out[1], out[2], out[3])
+				store4(drow, j+4, sub, out[4], out[5], out[6], out[7])
+			}
+		}
 		// The 1-row tile: four B rows at once, four independent accumulator
 		// chains — one per output element — so a single row (MulVecInto, the
-		// row remainder of a batch) still hides the add latency.
+		// row remainder of a batch) still hides the FMA latency.
 		for ; j+4 <= n; j += 4 {
 			b0 := b.data[(j+0)*k : (j+0)*k+k]
 			b1 := b.data[(j+1)*k : (j+1)*k+k][:len(b0)]
@@ -373,10 +391,10 @@ func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
 			x := ar[:len(b0)]
 			var s0, s1, s2, s3 float64
 			for t, av := range x {
-				s0 += float64(av * b0[t])
-				s1 += float64(av * b1[t])
-				s2 += float64(av * b2[t])
-				s3 += float64(av * b3[t])
+				s0 = math.FMA(av, b0[t], s0)
+				s1 = math.FMA(av, b1[t], s1)
+				s2 = math.FMA(av, b2[t], s2)
+				s3 = math.FMA(av, b3[t], s3)
 			}
 			store4(drow, j, sub, s0, s1, s2, s3)
 		}
@@ -385,7 +403,7 @@ func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
 			x := ar[:len(br)]
 			var s float64
 			for t, bv := range br {
-				s += float64(x[t] * bv)
+				s = math.FMA(x[t], bv, s)
 			}
 			store(drow, j, sub, s)
 		}

@@ -2,12 +2,17 @@
 
 // func cpuHasAVX2() bool
 //
-// Leaf 1 ECX: OSXSAVE (bit 27) and AVX (bit 28); XGETBV xcr0 must have the
-// x87+SSE+AVX state bits (0x6) OS-enabled; leaf 7 EBX bit 5 is AVX2.
+// Leaf 1 ECX: FMA (bit 12), OSXSAVE (bit 27) and AVX (bit 28); XGETBV xcr0
+// must have the x87+SSE+AVX state bits (0x6) OS-enabled; leaf 7 EBX bit 5
+// is AVX2. The AVX2 tier's kernels are fused multiply-adds (VFMADD231PD,
+// VFMADD231SD), so a CPU (or virtual CPU) that reports AVX2 without FMA
+// stays on the scalar tier.
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
+	TESTL $(1<<12), CX // FMA
+	JZ   no
 	TESTL $(1<<27), CX // OSXSAVE
 	JZ   no
 	TESTL $(1<<28), CX // AVX
@@ -33,7 +38,9 @@ no:
 // Leaf 1 ECX: OSXSAVE (bit 27); XGETBV xcr0 must have x87+SSE+AVX (0x6)
 // plus opmask+ZMM_Hi256+Hi16_ZMM (0xe0) OS-enabled; leaf 7 EBX bit 16 is
 // AVX512F, the only extension the 8-lane kernels use (VMOVUPD, masked
-// VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VSUBPD, VPXORQ on ZMM; KMOVW).
+// VMOVUPD, VBROADCASTSD, VPBROADCASTQ, VFMADD231PD, VPXORQ on ZMM; KMOVW).
+// The EVEX fused multiply-adds belong to AVX512F itself, so no separate
+// FMA bit is needed.
 TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
@@ -60,10 +67,9 @@ no512:
 //
 // Four simultaneous 4-lane dot products: pack interleaves four A rows
 // (pack[4t+l] = A[i+l][t]), each Y accumulator carries one B row's running
-// sums for all four A rows. Every lane performs mul-then-add in ascending-t
-// order — the same two roundings, in the same order, as the scalar path —
-// so results are bit-identical to naive dot products. No FMA on purpose:
-// fused multiply-add rounds once and would diverge from the scalar kernel.
+// sums for all four A rows. Every lane performs one fused multiply-add per
+// step in ascending-t order — one rounding per step, as math.FMA in the
+// scalar path — so results are bit-identical to naive dot products.
 TEXT ·dotPack4x4(SB), NOSPLIT, $0-56
 	MOVQ pack+0(FP), SI
 	MOVQ b0+8(FP), R8
@@ -86,17 +92,13 @@ loop:
 	MOVQ AX, BX
 	SHLQ $3, BX                 // 8*t
 	VBROADCASTSD (R8)(BX*1), Y5
-	VMULPD Y4, Y5, Y5
-	VADDPD Y5, Y0, Y0
+	VFMADD231PD Y4, Y5, Y0
 	VBROADCASTSD (R9)(BX*1), Y5
-	VMULPD Y4, Y5, Y5
-	VADDPD Y5, Y1, Y1
+	VFMADD231PD Y4, Y5, Y1
 	VBROADCASTSD (R10)(BX*1), Y5
-	VMULPD Y4, Y5, Y5
-	VADDPD Y5, Y2, Y2
+	VFMADD231PD Y4, Y5, Y2
 	VBROADCASTSD (R11)(BX*1), Y5
-	VMULPD Y4, Y5, Y5
-	VADDPD Y5, Y3, Y3
+	VFMADD231PD Y4, Y5, Y3
 	INCQ AX
 	JMP  loop
 done:
@@ -111,12 +113,11 @@ done:
 //
 // The AVX-512 widening of dotPack4x4: pack interleaves eight A rows
 // (pack[8t+l] = A[i+l][t]), each Z accumulator carries one B row's running
-// sums for all eight A rows. Every lane performs mul-then-add in
-// ascending-t order — the same two roundings, in the same order, as the
-// scalar path — so results are bit-identical to naive dot products. No FMA
-// on purpose: fused multiply-add rounds once and would diverge from the
-// scalar kernel. Accumulators are zeroed with VPXORQ (AVX512F) because
-// VXORPD on ZMM needs AVX512DQ, which cpuHasAVX512 does not require.
+// sums for all eight A rows. Every lane performs one fused multiply-add per
+// step in ascending-t order, as the scalar path does, so results are
+// bit-identical to naive dot products. Accumulators are zeroed with VPXORQ
+// (AVX512F) because VXORPD on ZMM needs AVX512DQ, which cpuHasAVX512 does
+// not require.
 TEXT ·dotPack8x4(SB), NOSPLIT, $0-56
 	MOVQ pack+0(FP), SI
 	MOVQ b0+8(FP), R8
@@ -139,17 +140,13 @@ loop8:
 	MOVQ AX, BX
 	SHLQ $3, BX                 // 8*t
 	VBROADCASTSD (R8)(BX*1), Z5
-	VMULPD Z4, Z5, Z5
-	VADDPD Z5, Z0, Z0
+	VFMADD231PD Z4, Z5, Z0
 	VBROADCASTSD (R9)(BX*1), Z5
-	VMULPD Z4, Z5, Z5
-	VADDPD Z5, Z1, Z1
+	VFMADD231PD Z4, Z5, Z1
 	VBROADCASTSD (R10)(BX*1), Z5
-	VMULPD Z4, Z5, Z5
-	VADDPD Z5, Z2, Z2
+	VFMADD231PD Z4, Z5, Z2
 	VBROADCASTSD (R11)(BX*1), Z5
-	VMULPD Z4, Z5, Z5
-	VADDPD Z5, Z3, Z3
+	VFMADD231PD Z4, Z5, Z3
 	INCQ AX
 	JMP  loop8
 done8:
@@ -165,11 +162,12 @@ done8:
 // The top rung of the ladder: pack interleaves sixteen A rows
 // (pack[16t+l] = A[i+l][t]), read as two ZMM per k step; each B row j owns
 // the accumulator pair {Z(2j), Z(2j+1)}, so eight independent chains
-// advance per step — enough to cover the add latency on both vector ports,
-// which dotPack8x4's four chains are not. The loop steps its pointers (pack
-// by 128 bytes, the B offset by 8) and counts k down: no per-step index
-// arithmetic. Every lane is still mul-then-add in ascending t, no FMA, so
-// the bits are the scalar path's. k > 0 is the caller's job.
+// advance per step — enough to cover the fused multiply-add latency on both
+// vector ports, which dotPack8x4's four chains are not. The loop steps its
+// pointers (pack by 128 bytes, the B offset by 8) and counts k down: no
+// per-step index arithmetic. Every lane is one fused multiply-add per step
+// in ascending t, so the bits are the scalar path's. k > 0 is the caller's
+// job.
 TEXT ·dotPack16x4(SB), NOSPLIT, $0-56
 	MOVQ pack+0(FP), SI
 	MOVQ b0+8(FP), R8
@@ -194,22 +192,14 @@ loop16:
 	VBROADCASTSD (R9)(BX*1), Z11
 	VBROADCASTSD (R10)(BX*1), Z12
 	VBROADCASTSD (R11)(BX*1), Z13
-	VMULPD Z8, Z10, Z14
-	VMULPD Z9, Z10, Z15
-	VMULPD Z8, Z11, Z16
-	VMULPD Z9, Z11, Z17
-	VMULPD Z8, Z12, Z18
-	VMULPD Z9, Z12, Z19
-	VMULPD Z8, Z13, Z20
-	VMULPD Z9, Z13, Z21
-	VADDPD Z14, Z0, Z0
-	VADDPD Z15, Z1, Z1
-	VADDPD Z16, Z2, Z2
-	VADDPD Z17, Z3, Z3
-	VADDPD Z18, Z4, Z4
-	VADDPD Z19, Z5, Z5
-	VADDPD Z20, Z6, Z6
-	VADDPD Z21, Z7, Z7
+	VFMADD231PD Z8, Z10, Z0
+	VFMADD231PD Z9, Z10, Z1
+	VFMADD231PD Z8, Z11, Z2
+	VFMADD231PD Z9, Z11, Z3
+	VFMADD231PD Z8, Z12, Z4
+	VFMADD231PD Z9, Z12, Z5
+	VFMADD231PD Z8, Z13, Z6
+	VFMADD231PD Z9, Z13, Z7
 	ADDQ $128, SI
 	ADDQ $8, BX
 	DECQ CX
@@ -225,25 +215,79 @@ loop16:
 	VZEROUPPER
 	RET
 
-// The level-2 kernels of the LU. Each lane is one element's own chain —
-// a multiply, then a subtraction from that element, in the scalar loop's
-// order — so spreading elements (or right-hand-side columns) across lanes
-// changes which chains run together, never the bits of any one of them.
-// No FMA, for the reason the GEMM tiles give.
-
-// func subScaledAVX2(dst, v *float64, n int, a float64)
+// func dotRow8(a, b *float64, k int, out *[8]float64)
 //
-// dst[k] −= a·v[k] for k < n; n is a positive multiple of 4.
+// The 1-row tile on FMA hardware: eight B rows, row r at b + r·k, each
+// its own scalar chain in X0..X7, one VFMADD231SD per step in ascending t.
+// Eight chains cover the fused multiply-add latency on both ports, which
+// the Go tile's four do not. k > 0 is the caller's job.
+TEXT ·dotRow8(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), R8
+	MOVQ k+16(FP), CX
+	MOVQ CX, DX
+	SHLQ $3, DX // the B row stride in bytes
+	LEAQ (R8)(DX*1), R9
+	LEAQ (R9)(DX*1), R10
+	LEAQ (R10)(DX*1), R11
+	LEAQ (R11)(DX*1), R12
+	LEAQ (R12)(DX*1), R13
+	LEAQ (R13)(DX*1), AX
+	LEAQ (AX)(DX*1), DX
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	VXORPD X4, X4, X4
+	VXORPD X5, X5, X5
+	VXORPD X6, X6, X6
+	VXORPD X7, X7, X7
+	XORQ BX, BX // t
+looprow8:
+	VMOVSD (SI)(BX*8), X8
+	VFMADD231SD (R8)(BX*8), X8, X0
+	VFMADD231SD (R9)(BX*8), X8, X1
+	VFMADD231SD (R10)(BX*8), X8, X2
+	VFMADD231SD (R11)(BX*8), X8, X3
+	VFMADD231SD (R12)(BX*8), X8, X4
+	VFMADD231SD (R13)(BX*8), X8, X5
+	VFMADD231SD (AX)(BX*8), X8, X6
+	VFMADD231SD (DX)(BX*8), X8, X7
+	INCQ BX
+	CMPQ BX, CX
+	JLT  looprow8
+	MOVQ out+24(FP), DI
+	VMOVSD X0, (DI)
+	VMOVSD X1, 8(DI)
+	VMOVSD X2, 16(DI)
+	VMOVSD X3, 24(DI)
+	VMOVSD X4, 32(DI)
+	VMOVSD X5, 40(DI)
+	VMOVSD X6, 48(DI)
+	VMOVSD X7, 56(DI)
+	RET
+
+// The level-2 kernels of the LU. Each lane is one element's own chain —
+// one fused multiply-add per term with the multiplier negated first, d =
+// fma(−a, v, d), as math.FMA(−a, v, d) in the scalar loop (negating the
+// operand, not the product as VFNMADD231PD would, gives even a NaN
+// multiplier the loop's sign), in the scalar loop's order — so spreading elements
+// (or right-hand-side columns) across lanes changes which chains run
+// together, never the bits of any one of them.
+
+// func subScaledAVX2(dst, v *float64, n int, na float64)
+//
+// dst[k] = fma(na, v[k], dst[k]) for k < n, na = −a: dst[k] −= a·v[k];
+// n is a positive multiple of 4.
 TEXT ·subScaledAVX2(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ v+8(FP), SI
 	MOVQ n+16(FP), CX
-	VBROADCASTSD a+24(FP), Y0
+	VBROADCASTSD na+24(FP), Y0
 	SHRQ $2, CX
 loopss4:
-	VMULPD (SI), Y0, Y1
 	VMOVUPD (DI), Y2
-	VSUBPD Y1, Y2, Y2
+	VFMADD231PD (SI), Y0, Y2
 	VMOVUPD Y2, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DI
@@ -252,19 +296,18 @@ loopss4:
 	VZEROUPPER
 	RET
 
-// func subScaledAVX512(dst, v *float64, n int, a float64)
+// func subScaledAVX512(dst, v *float64, n int, na float64)
 //
-// dst[k] −= a·v[k] for k < n; n is a positive multiple of 8.
+// subScaledAVX2 eight lanes wide; n is a positive multiple of 8.
 TEXT ·subScaledAVX512(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ v+8(FP), SI
 	MOVQ n+16(FP), CX
-	VBROADCASTSD a+24(FP), Z0
+	VBROADCASTSD na+24(FP), Z0
 	SHRQ $3, CX
 loopss8:
-	VMULPD (SI), Z0, Z1
 	VMOVUPD (DI), Z2
-	VSUBPD Z1, Z2, Z2
+	VFMADD231PD (SI), Z0, Z2
 	VMOVUPD Z2, (DI)
 	ADDQ $64, SI
 	ADDQ $64, DI
@@ -273,10 +316,11 @@ loopss8:
 	VZEROUPPER
 	RET
 
-// func subScaled4AVX2(dst, v0, v1, v2, v3 *float64, n int, a0, a1, a2, a3 float64)
+// func subScaled4AVX2(dst, v0, v1, v2, v3 *float64, n int, na0, na1, na2, na3 float64)
 //
-// dst[k] = dst[k] − a0·v0[k] − a1·v1[k] − a2·v2[k] − a3·v3[k], subtracting
-// in that order, for k < n; n is a positive multiple of 4.
+// dst[k] = dst[k] − a0·v0[k] − a1·v1[k] − a2·v2[k] − a3·v3[k], one fused
+// step fma(nai, vi[k], ·) per term in that order, nai = −ai, for k < n; n
+// is a positive multiple of 4.
 TEXT ·subScaled4AVX2(SB), NOSPLIT, $0-80
 	MOVQ dst+0(FP), DI
 	MOVQ v0+8(FP), R8
@@ -284,22 +328,18 @@ TEXT ·subScaled4AVX2(SB), NOSPLIT, $0-80
 	MOVQ v2+24(FP), R10
 	MOVQ v3+32(FP), R11
 	MOVQ n+40(FP), CX
-	VBROADCASTSD a0+48(FP), Y0
-	VBROADCASTSD a1+56(FP), Y1
-	VBROADCASTSD a2+64(FP), Y2
-	VBROADCASTSD a3+72(FP), Y3
+	VBROADCASTSD na0+48(FP), Y0
+	VBROADCASTSD na1+56(FP), Y1
+	VBROADCASTSD na2+64(FP), Y2
+	VBROADCASTSD na3+72(FP), Y3
 	SHRQ $2, CX
 	XORQ BX, BX
 loops44:
 	VMOVUPD (DI)(BX*1), Y4
-	VMULPD (R8)(BX*1), Y0, Y5
-	VMULPD (R9)(BX*1), Y1, Y6
-	VMULPD (R10)(BX*1), Y2, Y7
-	VMULPD (R11)(BX*1), Y3, Y8
-	VSUBPD Y5, Y4, Y4
-	VSUBPD Y6, Y4, Y4
-	VSUBPD Y7, Y4, Y4
-	VSUBPD Y8, Y4, Y4
+	VFMADD231PD (R8)(BX*1), Y0, Y4
+	VFMADD231PD (R9)(BX*1), Y1, Y4
+	VFMADD231PD (R10)(BX*1), Y2, Y4
+	VFMADD231PD (R11)(BX*1), Y3, Y4
 	VMOVUPD Y4, (DI)(BX*1)
 	ADDQ $32, BX
 	DECQ CX
@@ -307,7 +347,7 @@ loops44:
 	VZEROUPPER
 	RET
 
-// func subScaled4AVX512(dst, v0, v1, v2, v3 *float64, n int, a0, a1, a2, a3 float64)
+// func subScaled4AVX512(dst, v0, v1, v2, v3 *float64, n int, na0, na1, na2, na3 float64)
 //
 // subScaled4AVX2 eight lanes wide; n is a positive multiple of 8.
 TEXT ·subScaled4AVX512(SB), NOSPLIT, $0-80
@@ -317,22 +357,18 @@ TEXT ·subScaled4AVX512(SB), NOSPLIT, $0-80
 	MOVQ v2+24(FP), R10
 	MOVQ v3+32(FP), R11
 	MOVQ n+40(FP), CX
-	VBROADCASTSD a0+48(FP), Z0
-	VBROADCASTSD a1+56(FP), Z1
-	VBROADCASTSD a2+64(FP), Z2
-	VBROADCASTSD a3+72(FP), Z3
+	VBROADCASTSD na0+48(FP), Z0
+	VBROADCASTSD na1+56(FP), Z1
+	VBROADCASTSD na2+64(FP), Z2
+	VBROADCASTSD na3+72(FP), Z3
 	SHRQ $3, CX
 	XORQ BX, BX
 loops48:
 	VMOVUPD (DI)(BX*1), Z4
-	VMULPD (R8)(BX*1), Z0, Z5
-	VMULPD (R9)(BX*1), Z1, Z6
-	VMULPD (R10)(BX*1), Z2, Z7
-	VMULPD (R11)(BX*1), Z3, Z8
-	VSUBPD Z5, Z4, Z4
-	VSUBPD Z6, Z4, Z4
-	VSUBPD Z7, Z4, Z4
-	VSUBPD Z8, Z4, Z4
+	VFMADD231PD (R8)(BX*1), Z0, Z4
+	VFMADD231PD (R9)(BX*1), Z1, Z4
+	VFMADD231PD (R10)(BX*1), Z2, Z4
+	VFMADD231PD (R11)(BX*1), Z3, Z4
 	VMOVUPD Z4, (DI)(BX*1)
 	ADDQ $64, BX
 	DECQ CX
@@ -343,7 +379,8 @@ loops48:
 // func subDotCols4AVX2(dst, l, x *float64, nl, stride int)
 //
 // dst[c] −= Σ_{j<nl} l[j]·x[j·stride+c] for the four columns c < 4,
-// subtracting in ascending j: one YMM lane per right-hand-side column.
+// one fused step fma(−l[j], x, ·) per term in ascending j: one YMM lane per
+// right-hand-side column.
 // stride is in elements; nl may be 0.
 TEXT ·subDotCols4AVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
@@ -352,13 +389,16 @@ TEXT ·subDotCols4AVX2(SB), NOSPLIT, $0-40
 	MOVQ nl+24(FP), CX
 	MOVQ stride+32(FP), DX
 	SHLQ $3, DX
+	MOVQ $0x8000000000000000, AX
+	MOVQ AX, X3
+	VPBROADCASTQ X3, Y3 // the sign bit, to negate l[j]
 	VMOVUPD (DI), Y0
 	TESTQ CX, CX
 	JZ    donesd4
 loopsd4:
 	VBROADCASTSD (SI), Y1
-	VMULPD (R8), Y1, Y2
-	VSUBPD Y2, Y0, Y0
+	VXORPD Y3, Y1, Y1
+	VFMADD231PD (R8), Y1, Y0
 	ADDQ $8, SI
 	ADDQ DX, R8
 	DECQ CX
@@ -387,18 +427,19 @@ TEXT ·subDotCols16AVX512(SB), NOSPLIT, $0-48
 	KMOVW AX, K2
 	MOVQ nl+24(FP), CX
 	SHLQ $3, DX
+	MOVQ $0x8000000000000000, AX
+	VPBROADCASTQ AX, Z5 // the sign bit, to negate l[j]
 	VMOVUPD.Z (DI), K1, Z0
 	VMOVUPD.Z 64(DI), K2, Z1
 	TESTQ CX, CX
 	JZ    donesd16
 loopsd16:
 	VBROADCASTSD (SI), Z2
+	VPXORQ Z5, Z2, Z2
 	VMOVUPD.Z (R8), K1, Z3
 	VMOVUPD.Z 64(R8), K2, Z4
-	VMULPD Z3, Z2, Z3
-	VMULPD Z4, Z2, Z4
-	VSUBPD Z3, Z0, Z0
-	VSUBPD Z4, Z1, Z1
+	VFMADD231PD Z3, Z2, Z0
+	VFMADD231PD Z4, Z2, Z1
 	ADDQ $8, SI
 	ADDQ DX, R8
 	DECQ CX

@@ -2,9 +2,9 @@ package mat
 
 // dotPack4x4 computes four 4-lane dot products over a shared k dimension:
 // out[4j+l] = Σ_t pack[4t+l]·bj[t]. Implemented in gemm_arm64.s with NEON
-// mul-then-add — two 2-lane float64 vectors carry each quad of packed A
-// rows — so every output element is one ascending-t two-rounding chain,
-// bit-identical to scalar evaluation. Callers must have checked the active
+// fused multiply-adds (VFMLA) — two 2-lane float64 vectors carry each quad
+// of packed A rows — so every output element is one ascending-t chain of
+// single-rounding steps, bit-identical to scalar evaluation. Callers must have checked the active
 // tier and k > 0.
 //
 // The assembly only dereferences its pointers during the call and retains

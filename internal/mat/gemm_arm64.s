@@ -7,21 +7,10 @@
 // of packed values is the register pair {V8, V9} and each B row j owns the
 // accumulator pair {V(2j), V(2j+1)} — V0..V7 carry the full 4x4 tile.
 // Per k step: one 32-byte pack load, then per B row a replicating load of
-// bj[t] and an UNFUSED multiply + add per lane pair. Every lane performs
-// mul-then-add in ascending-t order — the same two roundings, in the same
-// order, as the scalar path — so results are bit-identical to naive dot
+// bj[t] and one fused multiply-add (VFMLA, Vd += Vn·Vm with one rounding)
+// per lane pair. Every lane is one fused step per t in ascending order —
+// math.FMA in the scalar path — so results are bit-identical to naive dot
 // products.
-//
-// The Go assembler has no mnemonics for the unfused NEON FMUL/FADD vector
-// forms (only VFMLA, which contracts to one rounding and would break the
-// scalar/vector bit-identity contract), so those two instructions are
-// WORD-encoded:
-//
-//	FMUL Vd.2D, Vn.2D, Vm.2D = 0x6E60DC00 | Rm<<16 | Rn<<5 | Rd
-//	FADD Vd.2D, Vn.2D, Vm.2D = 0x4E60D400 | Rm<<16 | Rn<<5 | Rd
-//
-// Each WORD comment below is the decoded instruction (verified against
-// `go tool objdump`, which disassembles them back to FMUL/FADD .D2).
 TEXT ·dotPack4x4(SB), NOSPLIT, $0-56
 	MOVD pack+0(FP), R0
 	MOVD b0+8(FP), R1
@@ -42,25 +31,17 @@ TEXT ·dotPack4x4(SB), NOSPLIT, $0-56
 loop:
 	VLD1.P  32(R0), [V8.D2, V9.D2] // [A[i][t] A[i+1][t]], [A[i+2][t] A[i+3][t]]
 	VLD1R.P 8(R1), [V10.D2]        // broadcast b0[t]
-	WORD $0x6E6ADD0B               // FMUL V11.2D, V8.2D, V10.2D
-	WORD $0x4E6BD400               // FADD V0.2D, V0.2D, V11.2D
-	WORD $0x6E6ADD2C               // FMUL V12.2D, V9.2D, V10.2D
-	WORD $0x4E6CD421               // FADD V1.2D, V1.2D, V12.2D
+	VFMLA   V10.D2, V8.D2, V0.D2
+	VFMLA   V10.D2, V9.D2, V1.D2
 	VLD1R.P 8(R2), [V10.D2]        // broadcast b1[t]
-	WORD $0x6E6ADD0B               // FMUL V11.2D, V8.2D, V10.2D
-	WORD $0x4E6BD442               // FADD V2.2D, V2.2D, V11.2D
-	WORD $0x6E6ADD2C               // FMUL V12.2D, V9.2D, V10.2D
-	WORD $0x4E6CD463               // FADD V3.2D, V3.2D, V12.2D
+	VFMLA   V10.D2, V8.D2, V2.D2
+	VFMLA   V10.D2, V9.D2, V3.D2
 	VLD1R.P 8(R3), [V10.D2]        // broadcast b2[t]
-	WORD $0x6E6ADD0B               // FMUL V11.2D, V8.2D, V10.2D
-	WORD $0x4E6BD484               // FADD V4.2D, V4.2D, V11.2D
-	WORD $0x6E6ADD2C               // FMUL V12.2D, V9.2D, V10.2D
-	WORD $0x4E6CD4A5               // FADD V5.2D, V5.2D, V12.2D
+	VFMLA   V10.D2, V8.D2, V4.D2
+	VFMLA   V10.D2, V9.D2, V5.D2
 	VLD1R.P 8(R4), [V10.D2]        // broadcast b3[t]
-	WORD $0x6E6ADD0B               // FMUL V11.2D, V8.2D, V10.2D
-	WORD $0x4E6BD4C6               // FADD V6.2D, V6.2D, V11.2D
-	WORD $0x6E6ADD2C               // FMUL V12.2D, V9.2D, V10.2D
-	WORD $0x4E6CD4E7               // FADD V7.2D, V7.2D, V12.2D
+	VFMLA   V10.D2, V8.D2, V6.D2
+	VFMLA   V10.D2, V9.D2, V7.D2
 	SUBS $1, R5, R5
 	BNE  loop
 done:

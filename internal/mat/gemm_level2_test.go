@@ -64,17 +64,47 @@ func TestLevel2KernelsTierParity(t *testing.T) {
 					subDotCols(got, l, x, stride)
 					subDotColsGo(want, l, x, stride)
 					sameBits(t, got, want, tier.String()+" subDotCols")
-					// Column by column, the textbook dot-product chain.
+					// Column by column, the textbook dot-product chain of
+					// fused steps.
 					for c := range row {
 						s := row[c]
 						for j, lj := range l {
-							s -= float64(lj * x[j*stride+c])
+							s = math.FMA(-lj, x[j*stride+c], s)
 						}
 						row[c] = s
 					}
 					sameBits(t, got, row, tier.String()+" subDotCols per column")
 				}
 			}
+		}
+	})
+}
+
+// TestLevel2KernelsNaNMultiplierTierParity: every tier negates the
+// multiplier, not the product, before its fused step, so a NaN multiplier
+// leaves the same NaN — sign bit included — on every tier as in the Go
+// loops.
+func TestLevel2KernelsNaNMultiplierTierParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	nan := math.Float64frombits(0xfff8000000000def)
+	forEachTier(t, func(t *testing.T, tier KernelTier) {
+		for _, n := range []int{4, 8, 13, 16} {
+			dst, v := randSlice(rng, n), randSlice(rng, n)
+			got, want := append([]float64(nil), dst...), append([]float64(nil), dst...)
+			subScaled(got, v, nan)
+			subScaledGo(want, v, nan)
+			sameBits(t, got, want, tier.String()+" subScaled NaN")
+
+			got, want = append(got[:0], dst...), append(want[:0], dst...)
+			subScaled4(got, v, v, v, v, 0.5, nan, 2, 3)
+			subScaled4Go(want, v, v, v, v, 0.5, nan, 2, 3)
+			sameBits(t, got, want, tier.String()+" subScaled4 NaN")
+
+			l, x := []float64{0.5, nan, 2}, randSlice(rng, 2*n+n)
+			got, want = append(got[:0], dst...), append(want[:0], dst...)
+			subDotCols(got, l, x, n)
+			subDotColsGo(want, l, x, n)
+			sameBits(t, got, want, tier.String()+" subDotCols NaN")
 		}
 	})
 }

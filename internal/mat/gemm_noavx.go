@@ -10,15 +10,17 @@ func dotPack8x4(pack, b0, b1, b2, b3 *float64, k int, out *[32]float64) { panic(
 
 func dotPack16x4(pack, b0, b1, b2, b3 *float64, k int, out *[64]float64) { panic("mat: no AVX-512") }
 
-func subScaledAVX2(dst, v *float64, n int, a float64) { panic("mat: no AVX2") }
+func dotRow8(a, b *float64, k int, out *[8]float64) { panic("mat: no AVX2") }
 
-func subScaledAVX512(dst, v *float64, n int, a float64) { panic("mat: no AVX-512") }
+func subScaledAVX2(dst, v *float64, n int, na float64) { panic("mat: no AVX2") }
 
-func subScaled4AVX2(dst, v0, v1, v2, v3 *float64, n int, a0, a1, a2, a3 float64) {
+func subScaledAVX512(dst, v *float64, n int, na float64) { panic("mat: no AVX-512") }
+
+func subScaled4AVX2(dst, v0, v1, v2, v3 *float64, n int, na0, na1, na2, na3 float64) {
 	panic("mat: no AVX2")
 }
 
-func subScaled4AVX512(dst, v0, v1, v2, v3 *float64, n int, a0, a1, a2, a3 float64) {
+func subScaled4AVX512(dst, v0, v1, v2, v3 *float64, n int, na0, na1, na2, na3 float64) {
 	panic("mat: no AVX-512")
 }
 

@@ -1,19 +1,21 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // naiveMul is the reference triple loop: one ascending-k dot product per
-// output element, the order the blocked kernel must reproduce exactly.
+// output element, one fused multiply-add per product — the steps the
+// blocked kernel must reproduce exactly.
 func naiveMul(a, b *Dense) *Dense {
 	out := NewDense(a.Rows(), b.Cols())
 	for i := 0; i < a.Rows(); i++ {
 		for j := 0; j < b.Cols(); j++ {
 			var s float64
 			for k := 0; k < a.Cols(); k++ {
-				s += float64(a.At(i, k) * b.At(k, j))
+				s = math.FMA(a.At(i, k), b.At(k, j), s)
 			}
 			out.Set(i, j, s)
 		}
@@ -91,8 +93,8 @@ func TestMulVecIntoBitIdenticalToMulVec(t *testing.T) {
 
 // TestMulATBitIdenticalToSequentialAccumulation pins the contract batched
 // backprop relies on: mᵀ·b equals accumulating rank-1 row outer products
-// row by row in ascending order — the arithmetic a per-sample gradient loop
-// performs — bit for bit.
+// row by row in ascending order, one fused multiply-add per product — the
+// arithmetic a per-sample gradient loop performs — bit for bit.
 func TestMulATBitIdenticalToSequentialAccumulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, shape := range [][3]int{{1, 1, 1}, {5, 3, 4}, {8, 4, 2}, {17, 9, 6}, {3, 1, 7}, {0, 2, 3}} {
@@ -103,7 +105,7 @@ func TestMulATBitIdenticalToSequentialAccumulation(t *testing.T) {
 		for row := 0; row < k; row++ { // ascending-row accumulation
 			for i := 0; i < r; i++ {
 				for j := 0; j < c; j++ {
-					want.Set(i, j, want.At(i, j)+float64(m.At(row, i)*b.At(row, j)))
+					want.Set(i, j, math.FMA(m.At(row, i), b.At(row, j), want.At(i, j)))
 				}
 			}
 		}

@@ -9,8 +9,10 @@ import (
 
 // KernelTier names one rung of the GEMM microkernel ladder. Every tier
 // computes bit-identical results — each output element is one ascending-k
-// mul-then-add chain on all of them — so the tier only decides how many
-// independent chains advance per instruction, never what the bits are.
+// chain of fused multiply-adds on all of them, and a fused step is one
+// correctly rounded IEEE operation whichever unit executes it — so the
+// tier only decides how many independent chains advance per instruction,
+// never what the bits are.
 // Higher tiers subsume lower ones: dispatch at tier T may use any
 // microkernel of tier <= T that the platform implements.
 type KernelTier uint8
@@ -20,10 +22,12 @@ const (
 	TierScalar KernelTier = iota
 	// TierNEON is the arm64 2-lane packed microkernel (gemm_arm64.s).
 	TierNEON
-	// TierAVX2 is the amd64 4-lane packed microkernel (gemm_amd64.s).
+	// TierAVX2 is the amd64 4-lane packed microkernel (gemm_amd64.s),
+	// gated on AVX2 and FMA.
 	TierAVX2
 	// TierAVX512 is the amd64 8-lane packed microkernels, 16- and 8-row
-	// tiles (gemm_amd64.s), gated on AVX512F.
+	// tiles (gemm_amd64.s), gated on AVX512F and on the AVX2 tier's
+	// features, whose kernels take its remainders.
 	TierAVX512
 )
 

@@ -130,7 +130,7 @@ func TestMulVecIntoTierParity(t *testing.T) {
 				for i := 0; i < rows; i++ {
 					var want float64
 					for k := 0; k < cols; k++ {
-						want += float64(m.At(i, k) * x[k])
+						want = math.FMA(m.At(i, k), x[k], want)
 					}
 					if dst[i] != want {
 						t.Fatalf("MulVecInto@%s %dx%d: [%d] = %v, want %v", tier, rows, cols, i, dst[i], want)
@@ -142,15 +142,15 @@ func TestMulVecIntoTierParity(t *testing.T) {
 }
 
 // gemmReference is the triple loop gemmBT must reproduce on every tier:
-// each element one ascending-k chain, every product rounded before it is
-// added (the conversion keeps a compiler from fusing the pair). In sub
-// mode it subtracts the finished chain from dst's element, once.
+// each element one ascending-k chain, every product added by one fused
+// multiply-add (math.FMA: a single rounding per step). In sub mode it
+// subtracts the finished chain from dst's element, once.
 func gemmReference(dst, a, b *Dense, sub bool) {
 	for i := 0; i < a.rows; i++ {
 		for j := 0; j < b.rows; j++ {
 			var s float64
 			for t := 0; t < a.cols; t++ {
-				s += float64(a.data[i*a.cols+t] * b.data[j*b.cols+t])
+				s = math.FMA(a.data[i*a.cols+t], b.data[j*b.cols+t], s)
 			}
 			if sub {
 				dst.data[i*dst.cols+j] -= s

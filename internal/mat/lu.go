@@ -28,14 +28,15 @@ import (
 // unblocked loop.
 //
 // Determinism: every element of the panel and the triangular solve
-// subtracts its products one at a time in a fixed order (the level-2
-// kernels of gemm_level2.go put elements in vector lanes, never split a
-// chain), each trailing element is one ascending gemmBT chain
-// (bit-identical across tiers and worker counts) and one subtraction, so
-// Factor's output bits depend on neither the kernel tier nor SetWorkers.
-// They are not bit-identical to the unblocked loop: a trailing element
-// subtracts each panel's sum of products at once, where the unblocked loop
-// subtracts the products one at a time. DESIGN.md §16 gives the
+// subtracts its products one at a time in a fixed order, each as one fused
+// multiply-add, d = fma(−l, u, d) (the level-2 kernels of gemm_level2.go
+// put elements in vector lanes, never split a chain), each trailing
+// element is one ascending gemmBT chain of fused steps (bit-identical
+// across tiers and worker counts) and one subtraction, so Factor's output
+// bits depend on neither the kernel tier nor SetWorkers. They are not
+// bit-identical to the unblocked loop: a trailing element subtracts each
+// panel's sum of products at once, where the unblocked loop subtracts the
+// products one at a time. DESIGN.md §16 gives the
 // measurements and the tolerance argument.
 
 // LU holds an LU factorization with partial pivoting of a square matrix A,
@@ -189,7 +190,7 @@ func (f *LU) factorPanel(k0, kb int) error {
 			for j := j0; j < j1; j++ {
 				u := pc[j]
 				for s := j + 1; s < j1; s++ {
-					pc[s] -= float64(p[j*m+s] * u)
+					pc[s] = math.FMA(-p[j*m+s], u, pc[s])
 				}
 			}
 			below := pc[j1:]

@@ -213,8 +213,9 @@ func TestPropertyDetRowSwapSign(t *testing.T) {
 }
 
 // factorReference is the textbook unblocked LU with partial pivoting — the
-// loop Factor ran before it was blocked — kept as the differential
-// reference for the blocked path.
+// loop Factor ran before it was blocked, each update one fused step
+// fma(−l, u, a) — kept as the differential reference for the blocked
+// path.
 func factorReference(a *Dense) (*LU, error) {
 	r, c := a.Dims()
 	if r != c {
@@ -257,7 +258,7 @@ func factorReference(a *Dense) (*LU, error) {
 			rowI := lu[i*n : (i+1)*n]
 			rowK := lu[k*n : (k+1)*n]
 			for j := k + 1; j < n; j++ {
-				rowI[j] -= float64(l * rowK[j])
+				rowI[j] = math.FMA(-l, rowK[j], rowI[j])
 			}
 		}
 	}
@@ -550,8 +551,8 @@ func TestFactorAllocatesOnlyTheResult(t *testing.T) {
 }
 
 // solveReference is the textbook single right-hand-side solve — one
-// serial dot product per row in each sweep — that SolveVec ran before it
-// became a one-column SolveInto.
+// serial dot product per row in each sweep, one fused step per term — that
+// SolveVec ran before it became a one-column SolveInto.
 func solveReference(f *LU, b Vec) Vec {
 	n := f.n
 	lu := f.lu.data
@@ -562,14 +563,14 @@ func solveReference(f *LU, b Vec) Vec {
 	for i := 1; i < n; i++ {
 		s := x[i]
 		for j := 0; j < i; j++ {
-			s -= float64(lu[i*n+j] * x[j])
+			s = math.FMA(-lu[i*n+j], x[j], s)
 		}
 		x[i] = s
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= float64(lu[i*n+j] * x[j])
+			s = math.FMA(-lu[i*n+j], x[j], s)
 		}
 		x[i] = s / lu[i*n+i]
 	}

@@ -40,11 +40,11 @@ func FactorQR(a *Dense) (*QR, error) {
 			for j := k + 1; j < n; j++ {
 				var s float64
 				for i := k; i < m; i++ {
-					s += float64(d[i*n+k] * d[i*n+j])
+					s = math.FMA(d[i*n+k], d[i*n+j], s)
 				}
 				s = -s / d[k*n+k]
 				for i := k; i < m; i++ {
-					d[i*n+j] += float64(s * d[i*n+k])
+					d[i*n+j] = math.FMA(s, d[i*n+k], d[i*n+j])
 				}
 			}
 		}
@@ -90,11 +90,11 @@ func (f *QR) applyQT(y Vec) {
 		}
 		var s float64
 		for i := k; i < m; i++ {
-			s += float64(d[i*n+k] * y[i])
+			s = math.FMA(d[i*n+k], y[i], s)
 		}
 		s = -s / d[k*n+k]
 		for i := k; i < m; i++ {
-			y[i] += float64(s * d[i*n+k])
+			y[i] = math.FMA(s, d[i*n+k], y[i])
 		}
 	}
 }
@@ -117,7 +117,7 @@ func (f *QR) SolveVec(b Vec) (Vec, error) {
 	for k := n - 1; k >= 0; k-- {
 		x[k] /= f.rdiag[k]
 		for i := 0; i < k; i++ {
-			x[i] -= float64(x[k] * d[i*n+k])
+			x[i] = math.FMA(-x[k], d[i*n+k], x[i])
 		}
 	}
 	return x, nil

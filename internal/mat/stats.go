@@ -46,7 +46,7 @@ func Summarize(xs []float64) Summary {
 	var ss float64
 	for _, x := range clean {
 		dx := x - s.Mean
-		ss += float64(dx * dx)
+		ss = math.FMA(dx, dx, ss)
 	}
 	if s.N > 1 {
 		s.StdDev = math.Sqrt(ss / float64(s.N-1))
@@ -78,7 +78,7 @@ func Quantile(sorted []float64, q float64) float64 {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
+	return math.FMA(sorted[hi], frac, sorted[lo]*(1-frac))
 }
 
 // Histogram counts xs into nbins equal-width bins over [lo, hi]. Values

@@ -55,7 +55,7 @@ func (v Vec) Dot(w Vec) float64 {
 	}
 	var s float64
 	for i, x := range v {
-		s += float64(x * w[i])
+		s = math.FMA(x, w[i], s)
 	}
 	return s
 }
@@ -129,7 +129,7 @@ func (v Vec) Axpy(a float64, w Vec) Vec {
 		panic(fmt.Sprintf("mat: Axpy length mismatch %d vs %d", len(v), len(w)))
 	}
 	for i := range v {
-		v[i] += float64(a * w[i])
+		v[i] = math.FMA(a, w[i], v[i])
 	}
 	return v
 }
@@ -158,7 +158,7 @@ func (v Vec) Norm2() float64 {
 	var s float64
 	for _, x := range v {
 		r := x / maxAbs
-		s += float64(r * r)
+		s = math.FMA(r, r, s)
 	}
 	return maxAbs * math.Sqrt(s)
 }
@@ -257,7 +257,7 @@ func (v Vec) L2Dist(w Vec) float64 {
 	var s float64
 	for i, x := range v {
 		dx := x - w[i]
-		s += float64(dx * dx)
+		s = math.FMA(dx, dx, s)
 	}
 	return math.Sqrt(s)
 }

@@ -202,7 +202,7 @@ func (n *MaxoutNetwork) AffineFromWinners(pattern []int) (*mat.Dense, mat.Vec, e
 			for c := 0; c < curW.Cols(); c++ {
 				var s float64
 				for t := 0; t < curW.Rows(); t++ {
-					s += float64(wj[t] * curW.At(t, c))
+					s = math.FMA(wj[t], curW.At(t, c), s)
 				}
 				outRow[c] = s
 			}
@@ -310,7 +310,7 @@ func (n *MaxoutNetwork) accumulate(g *maxoutGradients, x mat.Vec, label int) flo
 	for r, dr := range delta {
 		row := g.out.dW.RawRow(r)
 		for c, av := range hlast {
-			row[c] += float64(dr * av)
+			row[c] = math.FMA(dr, av, row[c])
 		}
 	}
 	g.out.dB.AddInPlace(delta)
@@ -337,13 +337,13 @@ func (n *MaxoutNetwork) accumulate(g *maxoutGradients, x mat.Vec, label int) flo
 				}
 				row := gp.dW.RawRow(j)
 				for c, iv := range in {
-					row[c] += float64(gj * iv)
+					row[c] = math.FMA(gj, iv, row[c])
 				}
 				gp.dB[j] += gj
 				if li > 0 {
 					wrow := l.Pieces[p].W.RawRow(j)
 					for c, wv := range wrow {
-						sp[c] += float64(gj * wv)
+						sp[c] = math.FMA(gj, wv, sp[c])
 					}
 				}
 			}

@@ -152,9 +152,9 @@ func (o *optimizer) step(blocks []paramBlock, batchLen int) {
 		for i, blk := range blocks {
 			m1, m2 := o.m1[i], o.m2[i]
 			for c := range blk.w {
-				gc := float64(blk.g[c]*invBatch) + float64(cfg.WeightDecay*blk.w[c])
-				m1[c] = float64(cfg.Beta1*m1[c]) + float64((1-cfg.Beta1)*gc)
-				m2[c] = float64(cfg.Beta2*m2[c]) + float64((1-cfg.Beta2)*gc*gc)
+				gc := math.FMA(cfg.WeightDecay, blk.w[c], blk.g[c]*invBatch)
+				m1[c] = math.FMA(cfg.Beta1, m1[c], (1-cfg.Beta1)*gc)
+				m2[c] = math.FMA(cfg.Beta2, m2[c], (1-cfg.Beta2)*gc*gc)
 				mhat := m1[c] / bc1
 				vhat := m2[c] / bc2
 				blk.w[c] -= cfg.LearningRate * mhat / (math.Sqrt(vhat) + 1e-8)
@@ -172,7 +172,7 @@ func (o *optimizer) step(blocks []paramBlock, batchLen int) {
 			}
 			v := o.m1[i]
 			for c := range blk.w {
-				v[c] = float64(cfg.Momentum*v[c]) - float64(scale*blk.g[c]) - float64(cfg.LearningRate*wd*blk.w[c])
+				v[c] = math.FMA(-cfg.LearningRate*wd, blk.w[c], math.FMA(-scale, blk.g[c], cfg.Momentum*v[c]))
 				blk.w[c] += v[c]
 			}
 		}
@@ -275,7 +275,7 @@ func (n *Network) accumulate(g *gradients, x mat.Vec, label int) float64 {
 			}
 			row := dw.RawRow(r)
 			for c, av := range ai {
-				row[c] += float64(dr * av)
+				row[c] = math.FMA(dr, av, row[c])
 			}
 		}
 		g.dB[i].AddInPlace(delta)

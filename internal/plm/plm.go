@@ -149,7 +149,7 @@ func (l *Linear) DecisionBias(c int) float64 {
 	for r := 0; r < C; r++ {
 		sum += l.B[r]
 	}
-	return (float64(float64(C)*l.B[c]) - sum) / float64(C-1)
+	return math.FMA(float64(C), l.B[c], -sum) / float64(C-1)
 }
 
 func (l *Linear) checkClass(c int) {

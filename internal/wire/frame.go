@@ -306,12 +306,13 @@ func (b *FrameBody) isClosed() bool {
 }
 
 // ReadFrame reads one binary frame, spending at most limit bytes
-// (non-positive: DefaultMaxBody). A frame whose declared payload exceeds
-// the remaining budget fails with ErrTooLarge before any payload
-// allocation, so a hostile 16-byte header cannot commit the process to
-// gigabytes. io.EOF is returned unwrapped when the reader is exhausted
-// before the first header byte — the end-of-stream marker frame readers
-// rely on; a header or payload cut off anywhere later is malformed.
+// (non-positive: DefaultMaxBody). A frame whose declared payload plus
+// rowHeader bytes per row exceeds the remaining budget fails with
+// ErrTooLarge before any payload allocation, so a hostile 16-byte header
+// cannot commit the process to gigabytes, of floats or of row headers.
+// io.EOF is returned unwrapped when the reader is exhausted before the
+// first header byte — the end-of-stream marker frame readers rely on; a
+// header or payload cut off anywhere later is malformed.
 func ReadFrame(r io.Reader, limit int64) ([][]float64, error) {
 	lr := newLimited(r, limit)
 	return readFrame(lr)
@@ -361,13 +362,11 @@ func readFrame(lr *limited) ([][]float64, error) {
 	rows := int64(binary.LittleEndian.Uint32(hdr[8:]))
 	cols := int64(binary.LittleEndian.Uint32(hdr[12:]))
 	elem := int64(elemSize(f32))
-	// Admission control before any allocation: the declared payload — with
-	// every row costing at least one byte, so a zero-col frame cannot claim
-	// four billion rows for free — must fit the remaining budget.
-	perRow := cols * elem
-	if perRow == 0 {
-		perRow = 1
-	}
+	// Admission control before any allocation: the declared payload plus
+	// a row header per row — what the decoded rows cost besides their
+	// floats, so a zero-col frame cannot claim four billion rows for free
+	// — must fit the remaining budget.
+	perRow := cols*elem + rowHeader
 	if rows == 0 {
 		// No payload follows; return before sizing the row buffer — a
 		// zero-row frame may still declare a huge cols.

@@ -199,12 +199,13 @@ func TestReadFrameTruncationNamesRow(t *testing.T) {
 }
 
 // TestReadFrameHostileHeaderCommitsOneBlock: a header that declares the
-// whole default budget and then ends commits at most one decode block —
-// floats and row headers together — before failing, whatever the width.
+// whole default budget (floats plus a row header per row, as admission
+// charges it) and then ends commits at most one decode block — floats and
+// row headers together — before failing, whatever the width.
 func TestReadFrameHostileHeaderCommitsOneBlock(t *testing.T) {
 	const slack = 8 << 10 // the error, the limited reader
 	for _, cols := range []int{1, 784} {
-		rows := uint32((DefaultMaxBody - frameHeader) / (int64(cols) * 8))
+		rows := uint32((DefaultMaxBody - frameHeader) / (int64(cols)*8 + rowHeader))
 		raw := frameBytes(frameMagic, FrameVersion, 0, [2]byte{}, rows, uint32(cols), make([]byte, 100))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -201,6 +202,40 @@ func TestReadFrameHostileDimsFailBeforeAllocation(t *testing.T) {
 	}
 }
 
+// TestReadFrameChargesRowHeaders: admission charges every row its 24-byte
+// header besides its floats. A 16-byte header declaring 4,194,304 zero-col
+// rows (~100 MB of row headers) is refused under the 64 MiB default budget
+// before anything is allocated, while frames whose floats plus headers
+// just fit the budget still decode, and one byte less answers 413.
+func TestReadFrameChargesRowHeaders(t *testing.T) {
+	raw := frameBytes(frameMagic, FrameVersion, 0, [2]byte{}, 1<<22, 0, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(raw), 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTooLarge) || DecodeStatus(err) != http.StatusRequestEntityTooLarge {
+		t.Fatalf("4,194,304 zero-col rows: err = %v (status %d), want ErrTooLarge/413", err, DecodeStatus(err))
+	}
+	// Decoding it would take ~100 MB of row headers; a refusal allocates
+	// only its error (the bound leaves room for other goroutines).
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("refused zero-col header allocated %d B", got)
+	}
+	for _, dims := range [][2]int{{1000, 0}, {1, 16}, {3, 784}, {1 << 12, 1}} {
+		rows, cols := dims[0], dims[1]
+		raw := frameBytes(frameMagic, FrameVersion, 0, [2]byte{}, uint32(rows), uint32(cols), make([]byte, rows*cols*8))
+		budget := int64(frameHeader + rows*(cols*8+rowHeader))
+		m, err := ReadFrame(bytes.NewReader(raw), budget)
+		if err != nil || len(m) != rows {
+			t.Fatalf("%dx%d frame at its exact budget: %d rows, err %v", rows, cols, len(m), err)
+		}
+		_, err = ReadFrame(bytes.NewReader(raw), budget-1)
+		if !errors.Is(err, ErrTooLarge) || DecodeStatus(err) != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%dx%d frame one byte over budget: err = %v, want ErrTooLarge/413", rows, cols, err)
+		}
+	}
+}
+
 func TestZeroRowFrameWithHugeColsDecodesEmpty(t *testing.T) {
 	// A zero-row frame carries no payload whatever its cols field claims;
 	// the decoder must answer it without sizing a row buffer for it
@@ -239,11 +274,12 @@ func TestFrameReaderStreamsUnderOneBudget(t *testing.T) {
 		t.Fatalf("stream end = %v, want io.EOF", err)
 	}
 	// The budget spans the whole stream: a second frame that would fit on
-	// its own is refused once the first has spent the allowance.
+	// its own is refused once the first has spent the allowance (admission
+	// charges a row its header besides its floats).
 	buf.Reset()
 	_ = WriteFrame(&buf, [][]float64{awkwardFloats}, false)
 	_ = WriteFrame(&buf, [][]float64{awkwardFloats}, false)
-	fr = NewFrameReader(&buf, int64(frameHeader+8*len(awkwardFloats)+frameHeader))
+	fr = NewFrameReader(&buf, int64(frameHeader+8*len(awkwardFloats)+rowHeader+frameHeader))
 	if _, err := fr.Next(); err != nil {
 		t.Fatal(err)
 	}
