@@ -365,9 +365,27 @@ type ctxBatchPredictor interface {
 	PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]mat.Vec, error)
 }
 
+// rowsKey is the context key under which handleBatch hands the model the
+// *wire.Exchange holding the batch's rows, so a model whose goroutines can
+// read the rows after its batch call returns (Shard.dispatch's losing
+// attempts) keeps them out of the next request's decode (heldRows).
+type rowsKey struct{}
+
+// heldRows returns the Exchange holding a batch's rows, or nil when ctx
+// did not come from handleBatch; its Retain and Release are nil-safe.
+func heldRows(ctx context.Context) *wire.Exchange {
+	ex, _ := ctx.Value(rowsKey{}).(*wire.Exchange)
+	return ex
+}
+
+// handleBatch decodes the rows into recycled blocks and gives them back
+// once the response is written. Every model in this package reads xs only
+// until its batch call returns, or holds them through heldRows; a model
+// that keeps or hands on its inputs past that point must copy them.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ex := s.exchange(r)
-	rows, err := ex.ReadMat("xs")
+	rows, err := ex.ReadMatRecycled("xs")
+	defer ex.Release()
 	if err != nil {
 		ex.Error(w, wire.DecodeStatus(err), err)
 		return
@@ -403,7 +421,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// hung-up client cancels the fan-out instead of burning backends.
 	var ys []mat.Vec
 	if cb, ok := s.model.(ctxBatchPredictor); ok {
-		ys, err = cb.PredictBatchCtx(r.Context(), xs)
+		ys, err = cb.PredictBatchCtx(context.WithValue(r.Context(), rowsKey{}, ex), xs)
 	} else {
 		ys, err = predictAllErr(s.model, xs)
 	}

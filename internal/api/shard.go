@@ -818,6 +818,12 @@ type taskRef struct {
 // The queue holds at most two live refs per task (the original and one
 // hedge — a failure consumes its ref before re-enqueueing), so capacity
 // 2*len(spans) means no enqueue ever blocks.
+//
+// dispatch returns as soon as the batch is decided, while a hedge loser or
+// a worker still running a chunk of a failed batch may go on reading xs.
+// So each worker holds the batch's rows (heldRows) until it exits: a
+// server's recycled decode blocks go back only after the last attempt
+// that could read them has returned.
 func (s *Shard) dispatch(ctx context.Context, xs []mat.Vec, out []mat.Vec, spans []span, elig []*backendState) error {
 	tasks := make([]*chunkTask, len(spans))
 	for i, sp := range spans {
@@ -858,12 +864,15 @@ func (s *Shard) dispatch(ctx context.Context, xs []mat.Vec, out []mat.Vec, spans
 			// block a worker on bookkeeping if it breaks.
 		}
 	}
+	rows := heldRows(ctx)
 	for i, st := range elig {
 		var seed *chunkTask
 		if i < len(tasks) {
 			seed = tasks[i]
 		}
+		rows.Retain()
 		go func(st *backendState, seed *chunkTask) {
+			defer rows.Release()
 			defer func() {
 				if active.Add(-1) == 0 && pending.Load() > 0 {
 					finish(fmt.Errorf("api: all %d backends failed with %d chunks pending",

@@ -30,7 +30,7 @@ func streamRows(seed int64, rows, cols int) []mat.Vec {
 	return xs
 }
 
-func frameOf(t *testing.T, xs []mat.Vec) []byte {
+func frameOf(t testing.TB, xs []mat.Vec) []byte {
 	t.Helper()
 	rows := make([][]float64, len(xs))
 	for i, x := range xs {

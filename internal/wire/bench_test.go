@@ -63,5 +63,12 @@ func BenchmarkWireBatchFloat32_4096(b *testing.B) { benchCodec(b, Binary{Float32
 // Frames at the shapes the stack moves: one interpret-784 probe (786 rows
 // of 784 pixels) and one batch-784 request (256 rows). Not in the
 // committed trajectory snapshots, so the gate does not check them.
-func BenchmarkWireBatchBinary_786x784(b *testing.B) { benchCodec(b, Binary{}, 786, 784) }
-func BenchmarkWireBatchBinary_256x784(b *testing.B) { benchCodec(b, Binary{}, 256, 784) }
+func BenchmarkWireBatchBinary_786x784(b *testing.B) {
+	b.ReportAllocs()
+	benchCodec(b, Binary{}, 786, 784)
+}
+
+func BenchmarkWireBatchBinary_256x784(b *testing.B) {
+	b.ReportAllocs()
+	benchCodec(b, Binary{}, 256, 784)
+}

@@ -54,6 +54,55 @@ const frameBlock = 256 << 10
 // of a decoded row besides its floats.
 const rowHeader = 24
 
+// maxFreeBlocks caps the free list of recycled decode blocks: at most this
+// many frameBlock-byte blocks (8 MiB) wait between requests for the next
+// decode. It is the in-flight block count of the benchmark stack's busiest
+// steady state — a router and two workers in one process, each holding the
+// blocks of the requests it is serving — so every block a request gives
+// back finds room, while an idle process holds no more than that
+// (DESIGN.md §21).
+const maxFreeBlocks = 32
+
+// freeBlocks is the process's free list of recycled decode blocks, each
+// frameBlock/8 floats long. Blocks sit here holding whatever floats their
+// last frame left in them; a decode overwrites every float its rows cover
+// before any row is handed out.
+var freeBlocks = make(chan []float64, maxFreeBlocks)
+
+// blockSet is one request's claim on recycled decode blocks: readFrame
+// records every block it takes from the free list here, and recycle gives
+// them all back once nothing reads the rows in them any more.
+type blockSet struct {
+	blocks [][]float64
+}
+
+// take returns n floats at the start of a recycled block — from the free
+// list when one waits there, else freshly allocated — and records the
+// block. n must not exceed frameBlock/8.
+func (s *blockSet) take(n int) []float64 {
+	var blk []float64
+	select {
+	case blk = <-freeBlocks:
+	default:
+		blk = make([]float64, frameBlock/8)
+	}
+	s.blocks = append(s.blocks, blk)
+	return blk[:n]
+}
+
+// recycle returns the blocks recorded from index from on to the free
+// list; blocks past its capacity are left to the garbage collector.
+func (s *blockSet) recycle(from int) {
+	for i, blk := range s.blocks[from:] {
+		s.blocks[from+i] = nil
+		select {
+		case freeBlocks <- blk:
+		default:
+		}
+	}
+	s.blocks = s.blocks[:from]
+}
+
 // floatBytes returns v's memory as bytes, without copying. On a hostLE host
 // that is exactly v's float64 frame payload. The view covers v's own
 // elements and nothing else, which is what the race build's checkptr
@@ -315,7 +364,7 @@ func (b *FrameBody) isClosed() bool {
 // header or payload cut off anywhere later is malformed.
 func ReadFrame(r io.Reader, limit int64) ([][]float64, error) {
 	lr := newLimited(r, limit)
-	return readFrame(lr)
+	return readFrame(lr, nil)
 }
 
 // FrameReader reads a sequence of frames off one stream, sharing a single
@@ -332,10 +381,17 @@ func NewFrameReader(r io.Reader, limit int64) *FrameReader {
 
 // Next returns the next frame, or io.EOF at a clean end of stream.
 func (f *FrameReader) Next() ([][]float64, error) {
-	return readFrame(f.lr)
+	return readFrame(f.lr, nil)
 }
 
-func readFrame(lr *limited) ([][]float64, error) {
+// readFrame decodes one frame off lr. With a nil own every block is
+// allocated at its exact size. Otherwise a frame that fills at least one
+// whole block takes all its blocks from the free list and records them in
+// own, which then owns the rows' memory; a frame that fails gives its
+// blocks straight back, since none of its rows escape. Frames smaller than
+// one block are always allocated exactly: a recycled block would hold a
+// full frameBlock for a few KiB of rows.
+func readFrame(lr *limited, own *blockSet) ([][]float64, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(lr, hdr[:1]); err != nil {
 		if err == io.EOF {
@@ -385,7 +441,14 @@ func readFrame(lr *limited) ([][]float64, error) {
 	if cols > 0 {
 		blockRows = max(1, frameBlock/(cols*8+rowHeader))
 	}
+	if cols == 0 || rows < blockRows || cols*8 > frameBlock {
+		own = nil
+	}
 	c, rowBytes := int(cols), int(cols*elem)
+	var first int // own's blocks before this frame's
+	if own != nil {
+		first = len(own.blocks)
+	}
 	out := make([][]float64, 0, min(rows, blockRows))
 	var raw []byte // the block's bytes, off the native path
 	for int64(len(out)) < rows {
@@ -397,7 +460,12 @@ func readFrame(lr *limited) ([][]float64, error) {
 			copy(grown, out)
 			out = grown
 		}
-		blk := make([]float64, n*c)
+		var blk []float64
+		if own != nil {
+			blk = own.take(n * c)
+		} else {
+			blk = make([]float64, n*c)
+		}
 		buf := floatBytes(blk)
 		if !native(f32) {
 			if raw == nil {
@@ -406,6 +474,9 @@ func readFrame(lr *limited) ([][]float64, error) {
 			buf = raw[:n*rowBytes]
 		}
 		if k, err := io.ReadFull(lr, buf); err != nil {
+			if own != nil {
+				own.recycle(first)
+			}
 			return nil, fmt.Errorf("wire: read frame payload row %d: %w", len(out)+k/rowBytes, lr.sticky(noEOF(err)))
 		}
 		if !native(f32) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -12,8 +13,13 @@ import (
 // never panic, never allocate past the byte budget, every rejection must
 // map to a well-formed HTTP status, and every frame it does accept must
 // re-encode to a byte-identical frame — the decoder and encoder agree on
-// the format exactly. CI runs this target for a short burst on every push;
-// `go test -fuzz=FuzzBinaryFrame ./internal/wire/` explores further.
+// the format exactly. Each input is also decoded into recycled blocks,
+// which start out holding a sentinel NaN pattern and then hold the floats
+// of the inputs before: that decode must fail where the exact one fails
+// and otherwise give the same bits, so no block carries one request's
+// floats into another's rows. CI runs this target for a short burst on
+// every push; `go test -fuzz=FuzzBinaryFrame ./internal/wire/` explores
+// further.
 func FuzzBinaryFrame(f *testing.F) {
 	seed := func(m [][]float64, f32 bool) []byte {
 		var buf bytes.Buffer
@@ -37,13 +43,21 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add([]byte("NOPE\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00"))
 
 	const budget = 1 << 20
+	dirtyFreeList(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > budget {
 			return
 		}
 		fr := NewFrameReader(bytes.NewReader(data), budget)
+		rec := newLimited(bytes.NewReader(data), budget)
+		var own blockSet
+		defer own.recycle(0)
 		for {
 			m, err := fr.Next()
+			rm, rerr := readFrame(rec, &own)
+			if (err == nil) != (rerr == nil) || !slices.Equal(frameBits(m), frameBits(rm)) {
+				t.Fatalf("recycled decode gives %d rows, err %v; exact decode %d rows, err %v", len(rm), rerr, len(m), err)
+			}
 			if err == io.EOF {
 				return
 			}

@@ -79,6 +79,11 @@ type Exchange struct {
 	out   Codec
 	stats *Stats
 	limit int64
+	// blocks holds the recycled blocks under ReadMatRecycled's rows, and
+	// refs counts their readers: the handler's own reference plus one per
+	// Retain. The last Release hands the blocks back.
+	blocks blockSet
+	refs   atomic.Int64
 }
 
 // NewExchange negotiates codecs for one request. limit caps the request
@@ -92,6 +97,7 @@ func NewExchange(r *http.Request, stats *Stats, limit int64) *Exchange {
 		stats: stats,
 		limit: limit,
 	}
+	e.refs.Store(1)
 	stats.CountRequest(e.in.Name() == NameBinary || e.out.Name() == NameBinary)
 	return e
 }
@@ -148,6 +154,42 @@ func (e *Exchange) ReadVec(field string) ([]float64, error) {
 func (e *Exchange) ReadMat(field string) ([][]float64, error) {
 	defer e.req.Body.Close()
 	return e.in.DecodeMat(e.body(), e.limit, field)
+}
+
+// ReadMatRecycled is ReadMat for a handler that knows when its rows go
+// out of use. On the frame codec, a frame that fills at least one decode
+// block is read into blocks recycled from earlier requests instead of
+// freshly zeroed ones, and those blocks belong to the Exchange: the
+// handler must not read the rows after its Release, and code that may read
+// them past the handler's own return (a hedged shard's losing attempts)
+// holds them with Retain and Release. A handler that never calls Release
+// leaves its blocks to the garbage collector. Smaller frames and JSON
+// bodies decode exactly as ReadMat does.
+func (e *Exchange) ReadMatRecycled(field string) ([][]float64, error) {
+	if !e.BinaryIn() {
+		return e.ReadMat(field)
+	}
+	defer e.req.Body.Close()
+	return readFrame(newLimited(e.body(), e.limit), &e.blocks)
+}
+
+// Retain adds a reader of ReadMatRecycled's rows; each Retain needs its
+// own Release. It must come before the handler's Release, while the rows
+// are still held. Retain and Release are no-ops on a nil Exchange.
+func (e *Exchange) Retain() {
+	if e != nil {
+		e.refs.Add(1)
+	}
+}
+
+// Release drops one reader of ReadMatRecycled's rows — the handler's own
+// reference first taken by NewExchange, or one Retain. The last one hands
+// the rows' blocks back for the next request to decode into; nothing may
+// read the rows after it.
+func (e *Exchange) Release() {
+	if e != nil && e.refs.Add(-1) == 0 {
+		e.blocks.recycle(0)
+	}
 }
 
 // ReadJSON strictly decodes a JSON request body — the escape hatch for
