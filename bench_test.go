@@ -220,28 +220,6 @@ func benchInterpretDim(b *testing.B, d int) {
 	}
 }
 
-// --- Ablation A1: solver strategy ---------------------------------------------
-
-func benchSolver(b *testing.B, solver core.Solver) {
-	model := benchPLNNModel(14, 48)
-	rng := rand.New(rand.NewSource(15))
-	x := make(mat.Vec, 48)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	o := core.New(core.Config{Seed: 16, Solver: solver})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Interpret(model, x, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSolver_SharedLU(b *testing.B)  { benchSolver(b, core.SolverSharedLU) }
-func BenchmarkAblationSolver_SharedQR(b *testing.B)  { benchSolver(b, core.SolverSharedQR) }
-func BenchmarkAblationSolver_PerPairLU(b *testing.B) { benchSolver(b, core.SolverPerPairLU) }
-
 // --- Ablation A2: adaptive halving vs fixed r ---------------------------------
 
 func BenchmarkAblationAdaptive_Interior(b *testing.B) {

@@ -54,7 +54,7 @@ func main() {
 	log.SetPrefix("experiments: ")
 
 	var (
-		expList = flag.String("exp", "all", "comma list: table1,fig2,fig3,fig4,fig5,fig6,fig7,census,ablation,boundary,remote or all")
+		expList = flag.String("exp", "all", "comma list: table1,fig2,fig3,fig4,fig5,fig6,fig7,census,boundary,remote or all")
 		scale   = flag.String("scale", "small", "small, medium or paper")
 		outDir  = flag.String("out", "results", "output directory")
 		seed    = flag.Int64("seed", 1, "master seed")
@@ -137,11 +137,6 @@ func main() {
 					log.Fatal(err)
 				}
 			}
-			if all || want["ablation"] {
-				if err := runAblation(entry, ds, *outDir, xs, *seed); err != nil {
-					log.Fatal(err)
-				}
-			}
 			if all || want["boundary"] {
 				if err := runBoundary(entry, ds, *outDir, xs, *seed); err != nil {
 					log.Fatal(err)
@@ -196,7 +191,6 @@ func writeIndex(outDir, scale string, seed int64) error {
 	fmt.Fprintln(f, "| fig4_*.csv | Figure 4: consistency (cosine) curves |")
 	fmt.Fprintln(f, "| fig567_*.md | Figures 5-7: RD / WD / L1Dist grids |")
 	fmt.Fprintln(f, "| census_*.md | Region census (paper §II structure) |")
-	fmt.Fprintln(f, "| ablation_*.md | Solver ablation A1 (DESIGN.md) |")
 	fmt.Fprintln(f, "| boundary_*.csv | Boundary profile (paper Figure 1, quantified) |")
 	fmt.Fprintln(f, "| remote_*.md | Over-the-API quality + wire cost (sharded, adaptive window) |")
 	fmt.Fprintf(f, "\n%d files in this run:\n\n", len(entries))
@@ -356,27 +350,6 @@ func runCensus(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int6
 	return nil
 }
 
-func runAblation(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int64) error {
-	rows, err := eval.AblateSolvers(entry.Model, xs, seed+60)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(outDir, fmt.Sprintf("ablation_%s_%s.md", ds, strings.ToLower(entry.Name)))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "# Solver ablation: %s / %s\n\n", ds, entry.Name)
-	fmt.Fprintln(f, "| Solver | Mean L1 | ms/instance | Failures |")
-	fmt.Fprintln(f, "|--------|---------|-------------|----------|")
-	for _, r := range rows {
-		fmt.Fprintf(f, "| %s | %.3g | %.1f | %d |\n", r.Solver, r.MeanL1, r.MeanMillis, r.Failures)
-	}
-	fmt.Printf("   ablation: wrote %s\n", path)
-	return nil
-}
-
 func runBoundary(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int64) error {
 	limit := xs
 	if len(limit) > 6 {
@@ -421,7 +394,7 @@ func runRemote(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int6
 		return err
 	}
 	defer bench.Close()
-	white := openbox.CacheRegionModel(entry.Model, 0)
+	white := openbox.CacheRegionModelOpts(entry.Model, openbox.StoreOptions{})
 	var rows []eval.QualityRow
 	wires := make([]eval.WireStats, 0, reps)
 	for rep := 0; rep < reps; rep++ {

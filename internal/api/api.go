@@ -62,139 +62,6 @@ func (c *Counter) Count() int64 { return c.n.Load() }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n.Store(0) }
 
-// Cache wraps a model with a memoizing layer keyed by the exact bit pattern
-// of the input vector. Useful when an interpreter probes the same instance
-// repeatedly (LIME does); harmless otherwise.
-//
-// A bounded cache evicts its oldest entry (FIFO) to admit a new one, so
-// recent probes stay warm however long the run is. Concurrent misses for
-// the same key are coalesced into a single model query: the first caller
-// probes, the rest wait and share the answer.
-type Cache struct {
-	inner     plm.Model
-	mu        sync.Mutex
-	data      map[string]mat.Vec
-	order     []string              // insertion order, oldest first, for FIFO eviction
-	inflight  map[string]*cacheCall // misses currently being answered
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	max       int
-}
-
-// cacheCall is one in-flight miss; waiters block on done and read p.
-type cacheCall struct {
-	done chan struct{}
-	p    mat.Vec
-}
-
-// NewCache wraps inner with a cache holding at most maxEntries responses
-// (0 means unbounded).
-func NewCache(inner plm.Model, maxEntries int) *Cache {
-	return &Cache{
-		inner:    inner,
-		data:     make(map[string]mat.Vec),
-		inflight: make(map[string]*cacheCall),
-		max:      maxEntries,
-	}
-}
-
-func cacheKey(x mat.Vec) string {
-	// Exact binary key: two inputs hit the same entry iff bitwise equal.
-	buf := make([]byte, 0, len(x)*8)
-	for _, v := range x {
-		b := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(b>>uint(s)))
-		}
-	}
-	return string(buf)
-}
-
-// Predict returns the cached response when available, otherwise forwards.
-// When another goroutine is already probing the same key, the call waits
-// for that answer instead of issuing (and counting) a duplicate miss.
-func (c *Cache) Predict(x mat.Vec) mat.Vec {
-	key := cacheKey(x)
-	// Audited manual-unlock fast path: the mutex must be released before
-	// the <-call.done wait and before the inner probe, or one in-flight
-	// miss would serialize every other key. Invariant: each of the three
-	// exits from this region (hit, join, leader) unlocks exactly once
-	// before it can block, and nothing between Lock and Unlock can panic.
-	c.mu.Lock() //plmvet:allow(lockheld)
-	if p, ok := c.data[key]; ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return p.Clone()
-	}
-	if call, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		<-call.done
-		c.hits.Add(1)
-		return call.p.Clone()
-	}
-	call := &cacheCall{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.mu.Unlock()
-
-	c.misses.Add(1)
-	p := c.inner.Predict(x)
-	call.p = p.Clone()
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.store(key, p.Clone())
-	c.mu.Unlock()
-	close(call.done)
-	return p
-}
-
-// store inserts under mu, evicting the oldest entry when the cache is full.
-// The order queue exists only for bounded caches; unbounded ones never
-// evict, so tracking insertion order there would just leak memory.
-func (c *Cache) store(key string, p mat.Vec) {
-	if _, ok := c.data[key]; ok {
-		return
-	}
-	if c.max > 0 {
-		if len(c.data) >= c.max {
-			oldest := c.order[0]
-			c.order = c.order[1:]
-			delete(c.data, oldest)
-			c.evictions.Add(1)
-		}
-		c.order = append(c.order, key)
-	}
-	c.data[key] = p
-}
-
-// Dim forwards to the wrapped model.
-func (c *Cache) Dim() int { return c.inner.Dim() }
-
-// Classes forwards to the wrapped model.
-func (c *Cache) Classes() int { return c.inner.Classes() }
-
-// Stats returns the cache hit and miss counts. A call served by another
-// goroutine's in-flight miss counts as a hit: it cost no model query.
-func (c *Cache) Stats() (hits, misses int64) { return c.hits.Load(), c.misses.Load() }
-
-// Evictions returns how many entries a bounded cache has displaced.
-func (c *Cache) Evictions() int64 { return c.evictions.Load() }
-
-// StoreStats returns the unified accounting shape (see plm.StoreStats).
-// Bytes counts the cached probability vectors' float payloads.
-func (c *Cache) StoreStats() plm.StoreStats {
-	c.mu.Lock()
-	size := len(c.data)
-	c.mu.Unlock()
-	return plm.StoreStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Size:      size,
-		Bytes:     int64(size) * int64(c.inner.Classes()) * 8,
-	}
-}
-
 // Flaky wraps a model and corrupts a fraction of responses — the fault
 // injector for robustness tests. A corrupted response is the uniform
 // distribution over classes, which is what a degraded service might return.

@@ -5,12 +5,10 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/openbox"
-	"repro/internal/plm"
 )
 
 func testModel(seed int64) *openbox.PLNN {
@@ -56,133 +54,6 @@ func TestCounterConcurrent(t *testing.T) {
 		t.Fatalf("Count = %d, want 800", c.Count())
 	}
 }
-
-func TestCacheHitsAndMisses(t *testing.T) {
-	m := testModel(3)
-	counter := NewCounter(m)
-	cache := NewCache(counter, 0)
-	x := mat.Vec{0.5, 0.5, 0.5, 0.5}
-	p1 := cache.Predict(x)
-	p2 := cache.Predict(x.Clone()) // equal value, different storage
-	if !p1.EqualApprox(p2, 0) {
-		t.Fatal("cache returned different answers")
-	}
-	if counter.Count() != 1 {
-		t.Fatalf("inner model called %d times, want 1", counter.Count())
-	}
-	hits, misses := cache.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d/%d", hits, misses)
-	}
-	// A different input misses.
-	cache.Predict(mat.Vec{0.1, 0.5, 0.5, 0.5})
-	if counter.Count() != 2 {
-		t.Fatal("distinct input should reach the model")
-	}
-}
-
-func TestCacheReturnsClones(t *testing.T) {
-	cache := NewCache(testModel(4), 0)
-	x := mat.Vec{0, 0, 0, 0}
-	p := cache.Predict(x)
-	p[0] = 42 // caller mutates its copy
-	if cache.Predict(x)[0] == 42 {
-		t.Fatal("cache leaked internal storage")
-	}
-}
-
-func TestCacheBoundedEvictsOldest(t *testing.T) {
-	counter := NewCounter(testModel(5))
-	cache := NewCache(counter, 1)
-	a, b := mat.Vec{1, 0, 0, 0}, mat.Vec{0, 1, 0, 0}
-	cache.Predict(a) // miss, stored
-	cache.Predict(b) // miss, evicts a, stored
-	cache.Predict(b) // hit: a full cache still admits new entries
-	if counter.Count() != 2 {
-		t.Fatalf("bounded cache: model called %d times, want 2", counter.Count())
-	}
-	if cache.Evictions() != 1 {
-		t.Fatalf("Evictions = %d, want 1", cache.Evictions())
-	}
-	cache.Predict(a) // evicted earlier, so this is a fresh miss
-	if counter.Count() != 3 {
-		t.Fatalf("evicted entry still served: model called %d times, want 3", counter.Count())
-	}
-}
-
-func TestCacheFIFOOrder(t *testing.T) {
-	counter := NewCounter(testModel(5))
-	cache := NewCache(counter, 2)
-	a, b, c := mat.Vec{1, 0, 0, 0}, mat.Vec{0, 1, 0, 0}, mat.Vec{0, 0, 1, 0}
-	cache.Predict(a)
-	cache.Predict(b)
-	cache.Predict(c) // evicts a (oldest), keeps b
-	cache.Predict(b) // must still be cached
-	if counter.Count() != 3 {
-		t.Fatalf("FIFO evicted the wrong entry: model called %d times, want 3", counter.Count())
-	}
-	cache.Predict(a) // miss again
-	if counter.Count() != 4 {
-		t.Fatalf("model called %d times, want 4", counter.Count())
-	}
-}
-
-func TestCacheCoalescesConcurrentMisses(t *testing.T) {
-	// Many goroutines miss on the same key at once: exactly one model query
-	// and one recorded miss; everyone else shares the in-flight answer.
-	slow := &slowModel{inner: testModel(5), gate: make(chan struct{})}
-	counter := NewCounter(slow)
-	cache := NewCache(counter, 0)
-	x := mat.Vec{0.3, 0.3, 0.3, 0.3}
-
-	const waiters = 8
-	var wg sync.WaitGroup
-	out := make([]mat.Vec, waiters)
-	for g := 0; g < waiters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			out[g] = cache.Predict(x)
-		}(g)
-	}
-	// Wait until at least one goroutine reached the model, then let every
-	// submission settle before releasing the probe.
-	for counter.Count() == 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	close(slow.gate)
-	wg.Wait()
-
-	if counter.Count() != 1 {
-		t.Fatalf("concurrent misses reached the model %d times, want 1", counter.Count())
-	}
-	hits, misses := cache.Stats()
-	if misses != 1 {
-		t.Fatalf("double-counted misses: %d, want 1", misses)
-	}
-	if hits != waiters-1 {
-		t.Fatalf("hits = %d, want %d", hits, waiters-1)
-	}
-	for g := 1; g < waiters; g++ {
-		if !out[g].EqualApprox(out[0], 0) {
-			t.Fatalf("waiter %d got a different answer", g)
-		}
-	}
-}
-
-// slowModel blocks Predict until its gate opens, so tests can hold several
-// goroutines inside a cache miss at once.
-type slowModel struct {
-	inner plm.Model
-	gate  chan struct{}
-}
-
-func (s *slowModel) Predict(x mat.Vec) mat.Vec {
-	<-s.gate
-	return s.inner.Predict(x)
-}
-func (s *slowModel) Dim() int     { return s.inner.Dim() }
-func (s *slowModel) Classes() int { return s.inner.Classes() }
 
 func TestFlakyInjectsFailures(t *testing.T) {
 	m := testModel(6)

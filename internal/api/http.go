@@ -889,7 +889,6 @@ func (c *Client) PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]mat.Vec, 
 
 var _ plm.Model = (*Client)(nil)
 var _ plm.Model = (*Counter)(nil)
-var _ plm.Model = (*Cache)(nil)
 var _ plm.Model = (*Flaky)(nil)
 var _ plm.BatchPredictor = (*Flaky)(nil)
 var _ ctxErrPredictor = (*Client)(nil)

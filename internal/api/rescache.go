@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -13,8 +14,8 @@ import (
 
 // ResponseCache is a bounded LRU response cache meant to sit in front of a
 // served model — plmserve mounts it between the HTTP server and the shard
-// router (`plmserve -cache N`). It reuses Cache's exact-bit key scheme, but
-// unlike Cache's FIFO it promotes entries on every hit, so a hot working
+// router (`plmserve -cache N`). Two probes share an entry iff their inputs
+// are bitwise equal. Entries are promoted on every hit, so a hot working
 // set survives a long tail of one-off probes.
 //
 // Batch requests are answered entry-wise: hits come from the cache, the
@@ -72,6 +73,19 @@ func (rc *ResponseCache) StoreStats() plm.StoreStats {
 		Size:      size,
 		Bytes:     bytes,
 	}
+}
+
+// cacheKey is x's exact bit pattern: two inputs share a key iff they are
+// bitwise equal.
+func cacheKey(x mat.Vec) string {
+	buf := make([]byte, 0, len(x)*8)
+	for _, v := range x {
+		b := math.Float64bits(v)
+		for s := 0; s < 64; s += 8 {
+			buf = append(buf, byte(b>>uint(s)))
+		}
+	}
+	return string(buf)
 }
 
 // Len returns the number of cached responses.
@@ -153,8 +167,7 @@ func (rc *ResponseCache) Predict(x mat.Vec) mat.Vec {
 // PredictBatch answers cached items locally and ships only the misses to
 // the inner model (as one batch when it has a batch path), merging answers
 // back in submission order. Duplicate probes within one batch coalesce into
-// a single inner query; like Cache's in-flight coalescing, the duplicates
-// count as hits — they cost no model query. The first inner error fails the
+// a single inner query; the duplicates count as hits — they cost no model query. The first inner error fails the
 // whole batch, matching Shard's all-or-nothing contract.
 func (rc *ResponseCache) PredictBatch(xs []mat.Vec) ([]mat.Vec, error) {
 	return rc.PredictBatchCtx(context.Background(), xs)

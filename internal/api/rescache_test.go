@@ -78,6 +78,70 @@ func TestResponseCachePredictMatchesInner(t *testing.T) {
 	}
 }
 
+func TestCacheHitsAndMisses(t *testing.T) {
+	counter := NewCounter(testModel(3))
+	cache, err := NewResponseCache(counter, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := mat.Vec{0.5, 0.5, 0.5, 0.5}
+	p1 := cache.Predict(x)
+	p2 := cache.Predict(x.Clone()) // equal value, different storage
+	if !p1.EqualApprox(p2, 0) {
+		t.Fatal("cache returned different answers")
+	}
+	if counter.Count() != 1 {
+		t.Fatalf("inner model called %d times, want 1", counter.Count())
+	}
+	if hits, misses, _ := cache.CacheStats(); hits != 1 || misses != 1 {
+		t.Fatalf("stats = %d/%d", hits, misses)
+	}
+	// A different input misses.
+	cache.Predict(mat.Vec{0.1, 0.5, 0.5, 0.5})
+	if counter.Count() != 2 {
+		t.Fatal("distinct input should reach the model")
+	}
+}
+
+func TestCacheReturnsClones(t *testing.T) {
+	cache, err := NewResponseCache(testModel(4), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := mat.Vec{0, 0, 0, 0}
+	cache.Predict(x)[0] = 42 // the caller mutates a miss's answer
+	hit := cache.Predict(x)
+	if hit[0] == 42 {
+		t.Fatal("cache leaked internal storage on a miss")
+	}
+	hit[0] = 43 // and a hit's
+	if cache.Predict(x)[0] == 43 {
+		t.Fatal("cache leaked internal storage on a hit")
+	}
+}
+
+func TestCacheBoundedEvictsOldest(t *testing.T) {
+	counter := NewCounter(testModel(5))
+	cache, err := NewResponseCache(counter, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := mat.Vec{1, 0, 0, 0}, mat.Vec{0, 1, 0, 0}
+	cache.Predict(a) // miss, stored
+	cache.Predict(b) // miss, evicts a, stored
+	cache.Predict(b) // hit: a full cache still admits new entries
+	if counter.Count() != 2 {
+		t.Fatalf("bounded cache: model called %d times, want 2", counter.Count())
+	}
+	if _, _, evictions := cache.CacheStats(); evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", evictions)
+	}
+	cache.Predict(a) // evicted earlier, so this is a fresh miss
+	if counter.Count() != 3 {
+		t.Fatalf("evicted entry still served: model called %d times, want 3", counter.Count())
+	}
+}
+
 func TestResponseCacheBatchCoalescesAndPreservesOrder(t *testing.T) {
 	inner := NewCounter(testModel(6))
 	rc, err := NewResponseCache(inner, 16)

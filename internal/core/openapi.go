@@ -28,38 +28,6 @@ import (
 	"repro/internal/sample"
 )
 
-// Solver selects how Ω_{d+2} is solved and checked.
-type Solver int
-
-const (
-	// SolverSharedLU (default) factors the square coefficient matrix of the
-	// first d+1 equations once per sample set and reuses it for every class
-	// pair, checking the (d+2)-th equation's residual. This turns the
-	// paper's O(C·(d+2)^3) inner loop into O((d+2)^3 + C·(d+2)^2).
-	SolverSharedLU Solver = iota
-	// SolverSharedQR factors the full (d+2)x(d+1) system once per sample
-	// set with Householder QR and reads consistency off the least-squares
-	// residual. Same asymptotics as SolverSharedLU, different numerics.
-	SolverSharedQR
-	// SolverPerPairLU refactors the coefficient matrix for every class pair
-	// — the paper-literal O(C·(d+2)^3) formulation, kept for the ablation
-	// benchmarks.
-	SolverPerPairLU
-)
-
-// String returns the solver's name.
-func (s Solver) String() string {
-	switch s {
-	case SolverSharedLU:
-		return "shared-lu"
-	case SolverSharedQR:
-		return "shared-qr"
-	case SolverPerPairLU:
-		return "per-pair-lu"
-	}
-	return fmt.Sprintf("solver(%d)", int(s))
-}
-
 // Config tunes Algorithm 1. The zero value gives the paper's settings.
 type Config struct {
 	// MaxIterations is the paper's m: the cap on resample-and-halve rounds.
@@ -85,8 +53,6 @@ type Config struct {
 	// regions in fewer rounds at the cost of overshooting, smaller factors
 	// shrink gently. Must exceed 1.
 	ShrinkFactor float64
-	// Solver selects the linear-algebra strategy. Default SolverSharedLU.
-	Solver Solver
 	// Seed seeds the sampler when RNG is nil. Ignored otherwise.
 	Seed int64
 	// RNG, when non-nil, supplies all randomness.
@@ -268,36 +234,26 @@ type pairSolution struct {
 	B float64
 }
 
-// roundFactor is the points-only half of a round: the factorization of the
-// design matrix, which needs no answer from the API.
+// roundFactor is the points-only half of a round: the LU factorization of
+// the square design matrix, which needs no answer from the API.
 type roundFactor struct {
-	lu  *mat.LU // SolverSharedLU: the square system, factored in place
-	qr  *mat.QR // SolverSharedQR: the full system
-	err error   // a numerically singular draw
+	lu  *mat.LU
+	err error // a numerically singular draw
 }
 
-// factor runs the factor step of the configured solver on a round's design
-// matrix (see fillDesign). SolverPerPairLU factors nothing here: it is the
-// paper-literal cost baseline and factors anew for every pair in solve.
+// factor factors the square system of a round's design matrix (see
+// fillDesign) in place: the matrix is a per-round throwaway, so Factor
+// need not copy it. One factorization serves every class pair, turning the
+// paper's O(C·(d+2)^3) inner loop into O((d+2)^3 + C·(d+2)^2).
 func (o *OpenAPI) factor(design *mat.Dense) roundFactor {
-	switch o.cfg.Solver {
-	case SolverSharedQR:
-		qr, err := mat.FactorQR(design)
-		return roundFactor{qr: qr, err: err}
-	case SolverPerPairLU:
-		return roundFactor{}
-	default: // SolverSharedLU
-		// The square design matrix is a per-round throwaway: factor it in
-		// place rather than have Factor copy it.
-		lu, err := mat.FactorInPlace(design.RowsView(design.Cols()))
-		return roundFactor{lu: lu, err: err}
-	}
+	lu, err := mat.FactorInPlace(design.RowsView(design.Cols()))
+	return roundFactor{lu: lu, err: err}
 }
 
 // solveBuffers is the solve step's working memory for one interpretation:
-// the shared-LU path's right-hand sides, solutions and check product, and
-// the round's answer list. interpret allocates it once and every round
-// refills it, so a rejected round allocates none of it.
+// the right-hand sides, solutions and check product, and the round's
+// answer list. interpret allocates it once and every round refills it, so
+// a rejected round allocates none of it.
 type solveBuffers struct {
 	eqY        []mat.Vec  // y0, then the round's answers
 	rhs, wants *mat.Dense // square-system and held-out log-odds, a column per pair
@@ -330,82 +286,21 @@ func (o *OpenAPI) solve(f roundFactor, design *mat.Dense, y0 mat.Vec, ys []mat.V
 	}
 	n := design.Cols() // d+1
 	eqY := append(append(bufs.eqY[:0], y0), ys...)
-	var out []*pairSolution // indexed by class; allocated once a round is consistent
-
-	switch o.cfg.Solver {
-	case SolverSharedQR:
-		out = make([]*pairSolution, len(cps)+1)
-		for _, cp := range cps {
-			rhs := make(mat.Vec, len(eqY))
-			for i, y := range eqY {
-				rhs[i] = plm.LogOdds(y, c, cp)
-			}
-			res, err := f.qr.ResidualNorm(rhs)
-			if err != nil || res > o.cfg.Tolerance*(1+rhs.NormInf()) {
-				return nil, false
-			}
-			beta, err := f.qr.SolveVec(rhs)
-			if err != nil || mat.Vec(beta).HasNaN() {
-				return nil, false
-			}
-			out[cp] = &pairSolution{D: beta[1:], B: beta[0]}
-		}
-		return out, true
-
-	case SolverPerPairLU:
-		square, extras := design.RowsView(n), design.RowsFrom(n)
-		out = make([]*pairSolution, len(cps)+1)
-		for _, cp := range cps {
-			// Paper-literal: factor anew for every pair.
-			lu, err := mat.Factor(square)
-			if err != nil {
-				return nil, false
-			}
-			pair := []int{cp}
-			if !o.solveChecked(lu, extras, logOddsMatrix(eqY[:n], c, pair), logOddsMatrix(eqY[n:], c, pair), pair, out) {
-				return nil, false
-			}
-		}
-		return out, true
-
-	default: // SolverSharedLU
-		logOddsInto(bufs.rhs, eqY[:n], c, cps)
-		logOddsInto(bufs.wants, eqY[n:], c, cps)
-		if !o.checkSolutions(f.lu, design.RowsFrom(n), bufs) {
-			return nil, false
-		}
-		out = make([]*pairSolution, len(cps)+1)
-		collectPairs(bufs.beta, cps, out)
-		return out, true
+	logOddsInto(bufs.rhs, eqY[:n], c, cps)
+	logOddsInto(bufs.wants, eqY[n:], c, cps)
+	if !o.checkSolutions(f.lu, design.RowsFrom(n), bufs) {
+		return nil, false
 	}
+	out := make([]*pairSolution, len(cps)+1) // indexed by class
+	collectPairs(bufs.beta, cps, out)
+	return out, true
 }
 
-// solveChecked solves the square system for every class pair at once —
-// column j of rhs holds pair cps[j]'s log-odds for the square system, column
-// j of wants those of the held-out equations — and verifies every held-out
-// equation as one product: extras·β must reproduce wants within the
-// tolerance of DESIGN.md §5. On success it stores pair cps[j]'s solution in
-// out[cps[j]]. It works in fresh buffers; interpret's shared-LU path reuses
-// its own (checkSolutions).
-func (o *OpenAPI) solveChecked(lu *mat.LU, extras, rhs, wants *mat.Dense, cps []int, out []*pairSolution) bool {
-	n := lu.N() // d+1
-	b := &solveBuffers{
-		rhs:   rhs,
-		wants: wants,
-		beta:  mat.NewDense(n, len(cps)),
-		pred:  mat.NewDense(extras.Rows(), len(cps)),
-		scale: make([]float64, len(cps)),
-	}
-	if !o.checkSolutions(lu, extras, b) {
-		return false
-	}
-	collectPairs(b.beta, cps, out)
-	return true
-}
-
-// checkSolutions is solveChecked's solve and check in b's buffers: it
-// solves b.rhs into b.beta and reports whether every held-out equation
-// reproduces b.wants.
+// checkSolutions solves the square system for every class pair at once —
+// column j of b.rhs holds the j-th pair's log-odds for the square system,
+// column j of b.wants those of the held-out equations — into b.beta, and
+// verifies every held-out equation as one product: extras·β must reproduce
+// b.wants within the tolerance of DESIGN.md §5.
 func (o *OpenAPI) checkSolutions(lu *mat.LU, extras *mat.Dense, b *solveBuffers) bool {
 	n := lu.N() // d+1
 	if lu.SolveInto(b.rhs, b.beta) != nil {
@@ -447,22 +342,16 @@ func collectPairs(beta *mat.Dense, cps []int, out []*pairSolution) {
 	}
 }
 
-// logOddsMatrix returns the right-hand sides ln(y_c / y_{c'}) of the
+// logOddsInto writes the right-hand sides ln(y_c / y_{c'}) of the
 // equations whose predictions are ys (rows) for every pair c' in cps
-// (columns) — paper Eq. 2.
-func logOddsMatrix(ys []mat.Vec, c int, cps []int) *mat.Dense {
-	return logOddsInto(mat.NewDense(len(ys), len(cps)), ys, c, cps)
-}
-
-// logOddsInto is logOddsMatrix writing into m, which is len(ys)×len(cps).
-func logOddsInto(m *mat.Dense, ys []mat.Vec, c int, cps []int) *mat.Dense {
+// (columns) into m, which is len(ys)×len(cps) — paper Eq. 2.
+func logOddsInto(m *mat.Dense, ys []mat.Vec, c int, cps []int) {
 	for i, y := range ys {
 		row := m.RawRow(i)
 		for j, cp := range cps {
 			row[j] = plm.LogOdds(y, c, cp)
 		}
 	}
-	return m
 }
 
 // fillDesign writes the paper's coefficient matrix A into design: row 0 is

@@ -155,39 +155,6 @@ func TestOpenAPIConsistentWithinRegion(t *testing.T) {
 	}
 }
 
-func TestOpenAPIAllSolversAgree(t *testing.T) {
-	model := plnnModel(12, 5, 9, 3)
-	rng := rand.New(rand.NewSource(13))
-	x := randVec(rng, 5)
-	c := model.Predict(x).ArgMax()
-	truth, err := model.LocalAt(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := truth.DecisionFeatures(c)
-	for _, solver := range []Solver{SolverSharedLU, SolverSharedQR, SolverPerPairLU} {
-		o := New(Config{Seed: 14, Solver: solver})
-		got, err := o.Interpret(model, x, c)
-		if err != nil {
-			t.Fatalf("%v: %v", solver, err)
-		}
-		if dist := got.Features.L1Dist(want); dist > 1e-5 {
-			t.Fatalf("%v: L1Dist %v", solver, dist)
-		}
-	}
-}
-
-func TestSolverString(t *testing.T) {
-	if SolverSharedLU.String() != "shared-lu" ||
-		SolverSharedQR.String() != "shared-qr" ||
-		SolverPerPairLU.String() != "per-pair-lu" {
-		t.Fatal("solver names wrong")
-	}
-	if Solver(99).String() == "" {
-		t.Fatal("unknown solver should still render")
-	}
-}
-
 func TestOpenAPIShrinksNearBoundary(t *testing.T) {
 	// An instance very close to a region boundary needs a small hypercube:
 	// iterations must exceed 1 and the final edge must have shrunk.
@@ -345,10 +312,14 @@ func TestInterpretAllMatchesPerClass(t *testing.T) {
 }
 
 func TestOpenAPIThroughQueryCache(t *testing.T) {
-	// Wrapping the model in a cache must not change results (samples are
-	// a.s. distinct, but the center is queried once only).
+	// Wrapping the model in the response cache plmserve -cache mounts must
+	// not change results (samples are a.s. distinct, but the center is
+	// queried once only).
 	model := plnnModel(29, 4, 6, 3)
-	cached := api.NewCache(model, 0)
+	cached, err := api.NewResponseCache(model, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o := New(Config{Seed: 30})
 	rng := rand.New(rand.NewSource(31))
 	x := randVec(rng, 4)
@@ -363,6 +334,9 @@ func TestOpenAPIThroughQueryCache(t *testing.T) {
 	}
 	if !a.Features.EqualApprox(b.Features, 1e-12) {
 		t.Fatal("cache changed the interpretation")
+	}
+	if _, misses, _ := cached.CacheStats(); misses != int64(b.Queries) {
+		t.Fatalf("cache saw %d misses, want one per query (%d)", misses, b.Queries)
 	}
 }
 

@@ -52,7 +52,7 @@ func (o *OpenAPI) interpretSerialReference(model plm.Model, x0 mat.Vec, c int) (
 }
 
 // solveAllSerial is the serial factor-then-solve of one round the
-// reference loop runs.
+// reference loop runs, on freshly allocated matrices.
 func (o *OpenAPI) solveAllSerial(x0 mat.Vec, y0 mat.Vec, pts []mat.Vec, ys []mat.Vec, c, C int) ([]*pairSolution, bool) {
 	n := len(x0) + 1
 	eqX := append([]mat.Vec{x0}, pts...)
@@ -63,50 +63,19 @@ func (o *OpenAPI) solveAllSerial(x0 mat.Vec, y0 mat.Vec, pts []mat.Vec, ys []mat
 			cps = append(cps, cp)
 		}
 	}
-	out := make([]*pairSolution, C)
-	switch o.cfg.Solver {
-	case SolverSharedQR:
-		qr, err := mat.FactorQR(designMatrix(eqX))
-		if err != nil {
-			return nil, false
-		}
-		for _, cp := range cps {
-			rhs := make(mat.Vec, len(eqY))
-			for i, y := range eqY {
-				rhs[i] = plm.LogOdds(y, c, cp)
-			}
-			res, err := qr.ResidualNorm(rhs)
-			if err != nil || res > o.cfg.Tolerance*(1+rhs.NormInf()) {
-				return nil, false
-			}
-			beta, err := qr.SolveVec(rhs)
-			if err != nil || mat.Vec(beta).HasNaN() {
-				return nil, false
-			}
-			out[cp] = &pairSolution{D: beta[1:], B: beta[0]}
-		}
-		return out, true
-	case SolverPerPairLU:
-		square := designMatrix(eqX[:n])
-		extras := designMatrix(eqX[n:])
-		for _, cp := range cps {
-			lu, err := mat.Factor(square)
-			if err != nil {
-				return nil, false
-			}
-			pair := []int{cp}
-			if !o.solveChecked(lu, extras, logOddsMatrix(eqY[:n], c, pair), logOddsMatrix(eqY[n:], c, pair), pair, out) {
-				return nil, false
-			}
-		}
-		return out, true
-	default:
-		lu, err := mat.FactorInPlace(designMatrix(eqX[:n]))
-		if err != nil {
-			return nil, false
-		}
-		return out, o.solveChecked(lu, designMatrix(eqX[n:]), logOddsMatrix(eqY[:n], c, cps), logOddsMatrix(eqY[n:], c, cps), cps, out)
+	lu, err := mat.FactorInPlace(designMatrix(eqX[:n]))
+	if err != nil {
+		return nil, false
 	}
+	b := newSolveBuffers(n, len(eqX)-n, len(cps))
+	logOddsInto(b.rhs, eqY[:n], c, cps)
+	logOddsInto(b.wants, eqY[n:], c, cps)
+	if !o.checkSolutions(lu, designMatrix(eqX[n:]), b) {
+		return nil, false
+	}
+	out := make([]*pairSolution, C)
+	collectPairs(b.beta, cps, out)
+	return out, true
 }
 
 // sameBits reports the first field in which two interpretations differ,
@@ -144,8 +113,8 @@ func sameBits(got, want *plm.Interpretation) error {
 }
 
 // TestOverlapMatchesSerialReference: factoring under the probe round trip
-// and reusing one design buffer change only scheduling. Every solver, at
-// one and two GEMM workers and d ∈ {8, 64, 200}, recovers interpretations
+// and reusing one design buffer change only scheduling. At one and two
+// GEMM workers and d ∈ {8, 64, 200}, Interpret recovers interpretations
 // bit-identical to the serial reference loop, round count and query count
 // included.
 func TestOverlapMatchesSerialReference(t *testing.T) {
@@ -157,22 +126,20 @@ func TestOverlapMatchesSerialReference(t *testing.T) {
 		c := model.Predict(x0).ArgMax()
 		for _, workers := range []int{1, 2} {
 			mat.SetWorkers(workers)
-			for _, solver := range []Solver{SolverSharedLU, SolverSharedQR, SolverPerPairLU} {
-				cfg := Config{Solver: solver, Seed: int64(d) + 7, InitialEdge: 16 / float64(d)}
-				want, err := New(cfg).interpretSerialReference(model, x0, c)
-				if err != nil {
-					t.Fatalf("d=%d %v: reference: %v", d, solver, err)
-				}
-				got, err := New(cfg).Interpret(model, x0, c)
-				if err != nil {
-					t.Fatalf("d=%d workers=%d %v: %v", d, workers, solver, err)
-				}
-				if err := sameBits(got, want); err != nil {
-					t.Fatalf("d=%d workers=%d %v: %v", d, workers, solver, err)
-				}
-				if got.Iterations > 1 {
-					multiRound++
-				}
+			cfg := Config{Seed: int64(d) + 7, InitialEdge: 16 / float64(d)}
+			want, err := New(cfg).interpretSerialReference(model, x0, c)
+			if err != nil {
+				t.Fatalf("d=%d: reference: %v", d, err)
+			}
+			got, err := New(cfg).Interpret(model, x0, c)
+			if err != nil {
+				t.Fatalf("d=%d workers=%d: %v", d, workers, err)
+			}
+			if err := sameBits(got, want); err != nil {
+				t.Fatalf("d=%d workers=%d: %v", d, workers, err)
+			}
+			if got.Iterations > 1 {
+				multiRound++
 			}
 		}
 	}
@@ -221,32 +188,30 @@ func TestOverlapJoinsFactorGoroutine(t *testing.T) {
 	model := plnnModel(81, d, 16, 4)
 	x0 := randVec(rand.New(rand.NewSource(82)), d)
 	c := model.Predict(x0).ArgMax()
-	for _, solver := range []Solver{SolverSharedLU, SolverSharedQR, SolverPerPairLU} {
-		if _, err := New(Config{Solver: solver, Seed: 83, InitialEdge: 0.08}).Interpret(model, x0, c); err != nil {
-			t.Fatalf("%v: %v", solver, err)
-		}
-		assertFactorJoined(t, solver.String()+" success")
-
-		flaky := api.NewFlaky(model, 0.5, rand.New(rand.NewSource(84)))
-		_, err := New(Config{Solver: solver, Seed: 85, MaxIterations: 2}).Interpret(flaky, x0, c)
-		if !errors.Is(err, ErrNoConvergence) {
-			t.Fatalf("%v flaky: err = %v, want ErrNoConvergence", solver, err)
-		}
-		if flaky.Failures() == 0 {
-			t.Fatalf("%v: fault injector never fired", solver)
-		}
-		assertFactorJoined(t, solver.String()+" failing probes")
-
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%v: the model's panic did not reach the caller", solver)
-				}
-			}()
-			_, _ = New(Config{Solver: solver, Seed: 86}).Interpret(panicModel{model}, x0, c)
-		}()
-		assertFactorJoined(t, solver.String()+" panicking model")
+	if _, err := New(Config{Seed: 83, InitialEdge: 0.08}).Interpret(model, x0, c); err != nil {
+		t.Fatal(err)
 	}
+	assertFactorJoined(t, "success")
+
+	flaky := api.NewFlaky(model, 0.5, rand.New(rand.NewSource(84)))
+	_, err := New(Config{Seed: 85, MaxIterations: 2}).Interpret(flaky, x0, c)
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("flaky: err = %v, want ErrNoConvergence", err)
+	}
+	if flaky.Failures() == 0 {
+		t.Fatal("fault injector never fired")
+	}
+	assertFactorJoined(t, "failing probes")
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the model's panic did not reach the caller")
+			}
+		}()
+		_, _ = New(Config{Seed: 86}).Interpret(panicModel{model}, x0, c)
+	}()
+	assertFactorJoined(t, "panicking model")
 }
 
 // constModel answers every probe with the same preallocated distribution,

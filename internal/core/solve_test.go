@@ -77,7 +77,7 @@ func designMatrix(xs []mat.Vec) *mat.Dense {
 // make the same accept/reject decision as the per-pair loop on sample sets
 // from hypercubes that straddle many regions down to ones inside x0's, and
 // an accepted set's (D, B) are the loop's bit for bit (SolveInto is
-// SolveVec column by column). Both LU solvers run the batched path.
+// SolveVec column by column).
 func TestSolveBatchedMatchesPerPairLoop(t *testing.T) {
 	const d, C = 64, 10
 	model := plnnModel(31, d, 32, 16, C)
@@ -94,27 +94,21 @@ func TestSolveBatchedMatchesPerPairLoop(t *testing.T) {
 				ys[i] = model.Predict(p)
 			}
 			want, wantOK := solveAllPerPairReference(1e-9, x0, y0, pts, ys, c, C)
-			for _, solver := range []Solver{SolverSharedLU, SolverPerPairLU} {
-				o := New(Config{Solver: solver})
-				got, ok := o.solveAll(x0, y0, pts, ys, c, C)
-				if ok != wantOK {
-					t.Fatalf("trial %d edge %g %v: accepted = %v, per-pair loop %v", trial, r, solver, ok, wantOK)
-				}
-				if !ok {
+			got, ok := New(Config{}).solveAll(x0, y0, pts, ys, c, C)
+			if ok != wantOK {
+				t.Fatalf("trial %d edge %g: accepted = %v, per-pair loop %v", trial, r, ok, wantOK)
+			}
+			for cp, w := range want { // nil for a rejected set
+				if w == nil {
 					continue
 				}
-				for cp, w := range want {
-					if w == nil {
-						continue
-					}
-					g := got[cp]
-					if math.Float64bits(g.B) != math.Float64bits(w.B) {
-						t.Fatalf("trial %d edge %g %v pair %d: B %v, loop %v", trial, r, solver, cp, g.B, w.B)
-					}
-					for i := range w.D {
-						if math.Float64bits(g.D[i]) != math.Float64bits(w.D[i]) {
-							t.Fatalf("trial %d edge %g %v pair %d: D[%d] %v, loop %v", trial, r, solver, cp, i, g.D[i], w.D[i])
-						}
+				g := got[cp]
+				if math.Float64bits(g.B) != math.Float64bits(w.B) {
+					t.Fatalf("trial %d edge %g pair %d: B %v, loop %v", trial, r, cp, g.B, w.B)
+				}
+				for i := range w.D {
+					if math.Float64bits(g.D[i]) != math.Float64bits(w.D[i]) {
+						t.Fatalf("trial %d edge %g pair %d: D[%d] %v, loop %v", trial, r, cp, i, g.D[i], w.D[i])
 					}
 				}
 			}

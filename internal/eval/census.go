@@ -3,9 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/plm"
 	"repro/internal/sample"
@@ -174,51 +172,4 @@ func sameRegionEdge(model plm.RegionModel, x mat.Vec, rng *rand.Rand, maxBisect 
 		}
 	}
 	return lo
-}
-
-// SolverAblation compares OpenAPI's three linear-algebra strategies on the
-// same instances: identical answers, different cost. It backs the A1
-// ablation in DESIGN.md.
-type SolverAblation struct {
-	Solver     core.Solver
-	MeanL1     float64 // distance to ground truth, should match across solvers
-	MeanMillis float64 // wall time per instance
-	Failures   int
-}
-
-// AblateSolvers runs every solver over the instances and reports exactness
-// and timing.
-func AblateSolvers(model plm.RegionModel, xs []mat.Vec, seed int64) ([]SolverAblation, error) {
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("eval: solver ablation needs instances")
-	}
-	solvers := []core.Solver{core.SolverSharedLU, core.SolverSharedQR, core.SolverPerPairLU}
-	out := make([]SolverAblation, 0, len(solvers))
-	for _, s := range solvers {
-		o := core.New(core.Config{Seed: seed, Solver: s})
-		var l1s []float64
-		failures := 0
-		start := time.Now()
-		for _, x := range xs {
-			c := model.Predict(x).ArgMax()
-			interp, err := o.Interpret(model, x, c)
-			if err != nil {
-				failures++
-				continue
-			}
-			l1, err := L1Dist(model, x, interp)
-			if err != nil {
-				return nil, err
-			}
-			l1s = append(l1s, l1)
-		}
-		elapsed := time.Since(start)
-		out = append(out, SolverAblation{
-			Solver:     s,
-			MeanL1:     mat.Summarize(l1s).Mean,
-			MeanMillis: float64(elapsed.Milliseconds()) / float64(len(xs)),
-			Failures:   failures,
-		})
-	}
-	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/openbox"
@@ -112,35 +111,3 @@ func TestSweepRegionsDefaultBudgetAndFallback(t *testing.T) {
 
 // localOnly hides LocalAtAll so SweepRegions exercises the per-probe path.
 type localOnly struct{ plm.RegionModel }
-
-func TestAblateSolversAgreeOnExactness(t *testing.T) {
-	model := plnnModel(6, 5, 8, 3)
-	rng := rand.New(rand.NewSource(7))
-	xs := []mat.Vec{randVec(rng, 5), randVec(rng, 5), randVec(rng, 5)}
-	rows, err := AblateSolvers(model, xs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	solvers := map[core.Solver]bool{}
-	for _, r := range rows {
-		solvers[r.Solver] = true
-		if r.Failures > 0 {
-			t.Fatalf("%v failed on %d instances", r.Solver, r.Failures)
-		}
-		if r.MeanL1 > 1e-4 {
-			t.Fatalf("%v mean L1 = %v", r.Solver, r.MeanL1)
-		}
-		if r.MeanMillis < 0 {
-			t.Fatalf("%v negative timing", r.Solver)
-		}
-	}
-	if len(solvers) != 3 {
-		t.Fatal("solvers not distinct")
-	}
-	if _, err := AblateSolvers(model, nil, 9); err == nil {
-		t.Fatal("empty instances accepted")
-	}
-}

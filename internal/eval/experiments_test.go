@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/interpret/gradient"
+	"repro/internal/mat"
 	"repro/internal/plm"
 )
 
@@ -196,16 +197,24 @@ func TestFigure4ConsistencySortedAndOpenAPIWins(t *testing.T) {
 func TestSampleQualityOpenAPIPerfect(t *testing.T) {
 	// The paper's central quantitative claim, in miniature: OpenAPI achieves
 	// RD = 0, WD = 0 and near-zero L1Dist on both models, while baselines at
-	// a coarse h do measurably worse.
+	// a coarse h do measurably worse. Besides the workbench models it runs
+	// on a small untrained net and random instances.
 	w := testWorkbench(t)
 	rng := rand.New(rand.NewSource(13))
 	ids := w.SampleTestInstances(rng, 4)
 	xs := w.Test.Subset(ids, "probe").X
+	small := ModelEntry{Name: "PLNN 5-8-3", Model: plnnModel(6, 5, 8, 3)}
+	smallRNG := rand.New(rand.NewSource(7))
+	smallXs := []mat.Vec{randVec(smallRNG, 5), randVec(smallRNG, 5), randVec(smallRNG, 5)}
 
-	for _, entry := range w.Models() {
+	for _, entry := range append(w.Models(), small) {
+		probes := xs
+		if entry.Name == small.Name {
+			probes = smallXs
+		}
 		methods := []plm.Interpreter{core.New(core.Config{Seed: 14})}
 		methods = append(methods, StandardBaselines(1e-2, 15)...)
-		rows, err := SampleQuality(entry.Model, methods, xs)
+		rows, err := SampleQuality(entry.Model, methods, probes)
 		if err != nil {
 			t.Fatal(err)
 		}

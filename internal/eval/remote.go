@@ -143,5 +143,5 @@ func QualityOverAPI(model plm.RegionModel, name string, methods []plm.Interprete
 		return nil, WireStats{}, err
 	}
 	defer bench.Close()
-	return bench.Quality(openbox.CacheRegionModel(model, 0), methods, xs)
+	return bench.Quality(openbox.CacheRegionModelOpts(model, openbox.StoreOptions{}), methods, xs)
 }

@@ -87,7 +87,7 @@ func TestRemoteBenchReusedAcrossRepetitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bench.Close()
-	white := openbox.CacheRegionModel(w.PLNN, 0)
+	white := openbox.CacheRegionModelOpts(w.PLNN, openbox.StoreOptions{})
 	xs := w.Test.X[:2]
 
 	var wires []WireStats

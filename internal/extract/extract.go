@@ -211,7 +211,7 @@ func HarvestExact(model plm.RegionModel, probes []mat.Vec) (*Surrogate, error) {
 		}
 		lins = out
 	} else {
-		cached := openbox.CacheRegionModel(model, 0)
+		cached := openbox.CacheRegionModelOpts(model, openbox.StoreOptions{})
 		lins = make([]*plm.Linear, len(probes))
 		for i, probe := range probes {
 			lin, err := cached.LocalAt(probe)

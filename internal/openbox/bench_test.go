@@ -34,7 +34,7 @@ func BenchmarkExtract_NoCache(b *testing.B) {
 
 func BenchmarkExtract_RegionCache(b *testing.B) {
 	p, xs := benchNetXs(b)
-	rc := NewRegionCache(p.Net, 0)
+	rc := NewRegionCacheOpts(p.Net, StoreOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, x := range xs {

@@ -115,7 +115,7 @@ func SameRegion(n *nn.Network, a, b mat.Vec) bool {
 type PLNN struct {
 	Net *nn.Network
 	// Regions, when non-nil, memoizes LocalAt's closed-form composition per
-	// locally linear region (see RegionCache). NewCachedPLNN sets it.
+	// locally linear region (see RegionCache). NewCachedPLNNOpts sets it.
 	Regions *RegionCache
 }
 
@@ -128,15 +128,6 @@ var _ plm.BatchPredictor = (*PLNN)(nil)
 // backing tier when one is configured.
 func NewCachedPLNNOpts(net *nn.Network, opts StoreOptions) *PLNN {
 	return &PLNN{Net: net, Regions: NewRegionCacheOpts(net, opts)}
-}
-
-// NewCachedPLNN wraps net with a region cache of the given capacity
-// (capacity <= 0 means unbounded).
-//
-// Deprecated: use NewCachedPLNNOpts with StoreOptions{Capacity: capacity};
-// the options form is where backing tiers live.
-func NewCachedPLNN(net *nn.Network, capacity int) *PLNN {
-	return NewCachedPLNNOpts(net, StoreOptions{Capacity: capacity})
 }
 
 // RegionStoreStats implements StoreReporter: the attached region cache's
@@ -200,7 +191,7 @@ func (p *PLNN) LocalAt(x mat.Vec) (*plm.Linear, error) {
 func (p *PLNN) LocalAtAll(xs []mat.Vec) ([]*plm.Linear, error) {
 	rc := p.Regions
 	if rc == nil {
-		rc = NewRegionCache(p.Net, 0)
+		rc = NewRegionCacheOpts(p.Net, StoreOptions{})
 	}
 	return rc.ExtractAll(xs)
 }

@@ -87,7 +87,7 @@ func TestCacheRegionModelUsesPatternHook(t *testing.T) {
 	// RegionKey + LocalAt pair that re-derives the region from x.
 	rng := rand.New(rand.NewSource(52))
 	h := &hookCounter{inner: &Maxout{Net: nn.NewMaxout(rng, 3, 5, 8, 3)}}
-	cached := CacheRegionModel(h, 0)
+	cached := CacheRegionModelOpts(h, StoreOptions{})
 
 	x := randVec(rng, 5)
 	first, err := cached.LocalAt(x)
@@ -120,7 +120,7 @@ func TestCacheRegionModelFallbackWithoutHook(t *testing.T) {
 	// RegionKey + LocalAt pair.
 	rng := rand.New(rand.NewSource(54))
 	m := &Maxout{Net: nn.NewMaxout(rng, 3, 5, 8, 3)}
-	cached := CacheRegionModel(plainRegionModel{m}, 0)
+	cached := CacheRegionModelOpts(plainRegionModel{m}, StoreOptions{})
 	x := randVec(rng, 5)
 	first, err := cached.LocalAt(x)
 	if err != nil {

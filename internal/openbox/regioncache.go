@@ -35,15 +35,6 @@ func NewRegionCacheOpts(net *nn.Network, opts StoreOptions) *RegionCache {
 	return &RegionCache{net: net, store: NewStore(opts)}
 }
 
-// NewRegionCache returns a cache over net holding at most capacity regions
-// (capacity <= 0 means unbounded).
-//
-// Deprecated: use NewRegionCacheOpts with StoreOptions{Capacity: capacity};
-// the options form is where backing tiers and future knobs live.
-func NewRegionCache(net *nn.Network, capacity int) *RegionCache {
-	return NewRegionCacheOpts(net, StoreOptions{Capacity: capacity})
-}
-
 // RegionCacheStats is a point-in-time snapshot of cache behaviour.
 // Compositions counts how many times the GEMM chain actually ran — the
 // quantity the batched extraction keeps strictly below the instance count
@@ -139,7 +130,7 @@ func (rc *RegionCache) localForPattern(pattern []bool) (*plm.Linear, error) {
 // the batched forward, one composition per distinct region, no persistent
 // cache. out[i] is bit-identical to Extract(n, xs[i]).
 func ExtractAll(n *nn.Network, xs []mat.Vec) ([]*plm.Linear, error) {
-	return NewRegionCache(n, 0).ExtractAll(xs)
+	return NewRegionCacheOpts(n, StoreOptions{}).ExtractAll(xs)
 }
 
 // CacheRegionModelOpts wraps any white-box model so repeated LocalAt calls
@@ -162,15 +153,6 @@ func CacheRegionModelOpts(m plm.RegionModel, opts StoreOptions) plm.RegionModel 
 		return &PLNN{Net: p.Net, Regions: NewRegionCacheOpts(p.Net, opts)}
 	}
 	return &cachedRegionModel{RegionModel: m, store: NewStore(opts)}
-}
-
-// CacheRegionModel wraps m with a region store of the given capacity
-// (capacity <= 0 means unbounded).
-//
-// Deprecated: use CacheRegionModelOpts with StoreOptions{Capacity:
-// capacity}; the options form is where backing tiers live.
-func CacheRegionModel(m plm.RegionModel, capacity int) plm.RegionModel {
-	return CacheRegionModelOpts(m, StoreOptions{Capacity: capacity})
 }
 
 // cachedRegionModel memoizes LocalAt per RegionKey for any RegionModel.

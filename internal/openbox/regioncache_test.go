@@ -31,7 +31,7 @@ func TestExtractAllBitIdenticalToExtract(t *testing.T) {
 	n := randNet(31, 7, 14, 10, 5)
 	rng := rand.New(rand.NewSource(32))
 	xs := clusteredInstances(rng, 7, 6, 5, 0)
-	rc := NewRegionCache(n, 0)
+	rc := NewRegionCacheOpts(n, StoreOptions{})
 	got, err := rc.ExtractAll(xs)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestExtractAllComposesPerRegionNotPerInstance(t *testing.T) {
 	n := randNet(33, 6, 12, 8, 3)
 	rng := rand.New(rand.NewSource(34))
 	xs := clusteredInstances(rng, 6, 4, 8, 0) // 32 instances, 4 base points
-	rc := NewRegionCache(n, 0)
+	rc := NewRegionCacheOpts(n, StoreOptions{})
 	out, err := rc.ExtractAll(xs)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestRegionCacheLocalAtHitsAndMisses(t *testing.T) {
 	n := randNet(35, 5, 10, 4)
 	rng := rand.New(rand.NewSource(36))
 	x := randVec(rng, 5)
-	rc := NewRegionCache(n, 0)
+	rc := NewRegionCacheOpts(n, StoreOptions{})
 	first, err := rc.LocalAt(x)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestRegionCacheEvictionStaysCorrect(t *testing.T) {
 			break
 		}
 	}
-	rc := NewRegionCache(n, 1)
+	rc := NewRegionCacheOpts(n, StoreOptions{Capacity: 1})
 	for round := 0; round < 3; round++ {
 		for _, x := range []mat.Vec{a, b} {
 			got, err := rc.LocalAt(x)
@@ -171,7 +171,7 @@ func TestRegionCacheConcurrent(t *testing.T) {
 	n := randNet(39, 6, 11, 8, 4)
 	rng := rand.New(rand.NewSource(40))
 	xs := clusteredInstances(rng, 6, 5, 4, 0)
-	rc := NewRegionCache(n, 3) // bounded: exercise eviction under contention
+	rc := NewRegionCacheOpts(n, StoreOptions{Capacity: 3}) // bounded: exercise eviction under contention
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -224,7 +224,7 @@ func TestPLNNPredictBatchBitIdentical(t *testing.T) {
 func TestCachedPLNNLocalAtMatchesExtract(t *testing.T) {
 	n := randNet(43, 5, 8, 3)
 	rng := rand.New(rand.NewSource(44))
-	p := NewCachedPLNN(n, 16)
+	p := NewCachedPLNNOpts(n, StoreOptions{Capacity: 16})
 	x := randVec(rng, 5)
 	got, err := p.LocalAt(x)
 	if err != nil {

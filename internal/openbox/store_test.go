@@ -141,13 +141,16 @@ func TestTieredStorePromotesAndWritesThrough(t *testing.T) {
 	}
 }
 
-func TestDeprecatedShimsStillCompile(t *testing.T) {
+// TestStoreConstructorsAgree: the three ways to put a region store in
+// front of a network find the same region and report through one hook.
+func TestStoreConstructorsAgree(t *testing.T) {
 	net := smallNet(t)
-	rc := NewRegionCache(net, 4)
-	p := NewCachedPLNN(net, 4)
-	m := CacheRegionModel(&PLNN{Net: net}, 4)
+	opts := StoreOptions{Capacity: 4}
+	rc := NewRegionCacheOpts(net, opts)
+	p := NewCachedPLNNOpts(net, opts)
+	m := CacheRegionModelOpts(&PLNN{Net: net}, opts)
 	if rc == nil || p == nil || m == nil {
-		t.Fatalf("shim returned nil")
+		t.Fatalf("constructor returned nil")
 	}
 	x := make(mat.Vec, net.InputDim())
 	for i := range x {
@@ -161,8 +164,12 @@ func TestDeprecatedShimsStillCompile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PLNN LocalAt: %v", err)
 	}
-	if a.Key != b.Key {
-		t.Fatalf("shim paths disagree on region key")
+	c, err := m.LocalAt(x)
+	if err != nil {
+		t.Fatalf("wrapped model LocalAt: %v", err)
+	}
+	if a.Key != b.Key || a.Key != c.Key {
+		t.Fatalf("constructors disagree on region key")
 	}
 	var rep StoreReporter = p
 	if rep.RegionCompositions() != 1 {

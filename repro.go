@@ -262,5 +262,5 @@ func ExtractSurrogateExact(model RegionModel, probes []Vec) (*Surrogate, error) 
 // (capacity <= 0 keeps every region). The returned classifiers are shared:
 // treat them as read-only.
 func CacheRegions(model RegionModel, capacity int) RegionModel {
-	return openbox.CacheRegionModel(model, capacity)
+	return openbox.CacheRegionModelOpts(model, openbox.StoreOptions{Capacity: capacity})
 }
