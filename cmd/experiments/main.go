@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,7 +55,7 @@ func main() {
 	log.SetPrefix("experiments: ")
 
 	var (
-		expList = flag.String("exp", "all", "comma list: table1,fig2,fig3,fig4,fig5,fig6,fig7,census,boundary,remote or all")
+		expList = flag.String("exp", "all", "comma list: "+strings.Join(experimentNames, ",")+" or all")
 		scale   = flag.String("scale", "small", "small, medium or paper")
 		outDir  = flag.String("out", "results", "output directory")
 		seed    = flag.Int64("seed", 1, "master seed")
@@ -65,12 +66,12 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown -scale %q", *scale)
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	want, err := parseExperiments(*expList)
+	if err != nil {
 		log.Fatal(err)
 	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expList, ",") {
-		want[strings.TrimSpace(e)] = true
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		log.Fatal(err)
 	}
 	all := want["all"]
 
@@ -165,6 +166,24 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("done")
+}
+
+// experimentNames are the experiments -exp selects, besides "all".
+var experimentNames = []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "census", "boundary", "remote"}
+
+// parseExperiments turns the -exp comma list into a set, refusing any name
+// it does not know: a typo or a retired experiment would otherwise train
+// both workbenches, write nothing and still exit 0.
+func parseExperiments(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		e = strings.TrimSpace(e)
+		if e != "all" && !slices.Contains(experimentNames, e) {
+			return nil, fmt.Errorf("unknown -exp %q; known: %s or all", e, strings.Join(experimentNames, ","))
+		}
+		want[e] = true
+	}
+	return want, nil
 }
 
 // writeIndex emits results/INDEX.md describing every artifact the harness

@@ -16,7 +16,7 @@
 //
 // With -cache N a bounded LRU response cache sits in front of the whole
 // shard: repeated probes are answered without touching any backend, and
-// /stats reports cache_hits / cache_misses / cache_evictions.
+// /stats reports its hits, misses, evictions and size under caches.response.
 //
 // With -fleet the backend set additionally becomes dynamic: the instance
 // mounts the registry protocol (POST /register, /heartbeat, /leave) and

@@ -19,6 +19,7 @@ import (
 	"repro/internal/modelio"
 	"repro/internal/nn"
 	"repro/internal/openbox"
+	"repro/internal/plm"
 )
 
 // TestLoadReplicasServesShardedStats exercises exactly what `plmserve
@@ -153,15 +154,14 @@ func TestCachedShardedServer(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var stats struct {
-		CacheHits      *int64  `json:"cache_hits"`
-		CacheMisses    *int64  `json:"cache_misses"`
-		ReplicaQueries []int64 `json:"replica_queries"`
+		Caches         map[string]plm.StoreStats `json:"caches"`
+		ReplicaQueries []int64                   `json:"replica_queries"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHits == nil || *stats.CacheHits != 1 || stats.CacheMisses == nil || *stats.CacheMisses != 1 {
-		t.Fatalf("cache stats hits=%v misses=%v, want 1/1", stats.CacheHits, stats.CacheMisses)
+	if rs, ok := stats.Caches["response"]; !ok || rs.Hits != 1 || rs.Misses != 1 {
+		t.Fatalf("caches.response = %+v (present %v), want hits/misses 1/1", rs, ok)
 	}
 	if len(stats.ReplicaQueries) != 2 {
 		t.Fatalf("replica_queries = %v, want the shard visible behind the cache", stats.ReplicaQueries)

@@ -23,12 +23,13 @@ import (
 // completion for nobody). Local backends are pure compute and only check
 // the context between probes; remote ones thread it into the HTTP request.
 //
-// Implementations must be safe for concurrent use; the shard dispatches
-// chunks to one backend from at most one goroutine at a time, but single
-// predictions, hedged duplicates and /stats reads interleave freely.
+// A single prediction reaches a backend as a one-row batch, so PredictBatch
+// is the only prediction call.
+//
+// Implementations must be safe for concurrent use: one batch sends a
+// backend at most one chunk at a time, but chunks of concurrent batches,
+// hedged duplicates and /stats reads interleave freely.
 type Backend interface {
-	// Predict answers one probe.
-	Predict(ctx context.Context, x mat.Vec) (mat.Vec, error)
 	// PredictBatch answers a batch of probes, one output per input.
 	PredictBatch(ctx context.Context, xs []mat.Vec) ([]mat.Vec, error)
 	// Stats describes the backend: kind, name and model shape. The shape is
@@ -63,7 +64,7 @@ type BackendStatus struct {
 	// Retries counts chunks re-dispatched to another backend after this one
 	// failed them.
 	Retries int64 `json:"retries"`
-	// Failures counts calls (chunk, single or recovery probe) that errored.
+	// Failures counts calls (chunk or recovery probe) that errored.
 	Failures int64 `json:"failures"`
 	// Hedges counts speculative duplicate dispatches launched because this
 	// backend sat on a chunk past its hedge threshold.
@@ -102,16 +103,10 @@ func NewLocalBackend(model plm.Model, name string) Backend {
 	return &localBackend{model: model, name: name}
 }
 
-// Predict answers in-process. A local forward is not interruptible compute,
-// so the context is only consulted before it starts: an already-cancelled
-// caller gets its cancellation instead of a result it will discard.
-func (b *localBackend) Predict(ctx context.Context, x mat.Vec) (mat.Vec, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return b.model.Predict(x), nil
-}
-
+// PredictBatch answers in-process. A local forward is not interruptible
+// compute, so the context is only consulted before it starts: an
+// already-cancelled caller gets its cancellation instead of a result it
+// will discard.
 func (b *localBackend) PredictBatch(ctx context.Context, xs []mat.Vec) ([]mat.Vec, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -137,10 +132,6 @@ type remoteBackend struct {
 // NewRemoteBackend wraps a dialed client as a shard backend.
 func NewRemoteBackend(client *Client) Backend {
 	return &remoteBackend{client: client}
-}
-
-func (b *remoteBackend) Predict(ctx context.Context, x mat.Vec) (mat.Vec, error) {
-	return b.client.PredictErrCtx(ctx, x)
 }
 
 func (b *remoteBackend) PredictBatch(ctx context.Context, xs []mat.Vec) ([]mat.Vec, error) {

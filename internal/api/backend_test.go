@@ -40,15 +40,15 @@ func TestBackendAdaptersAgree(t *testing.T) {
 	}
 	ctx := context.Background()
 	x := mat.Vec{0.3, -0.2, 0.7, 0.1}
-	lp, err := local.Predict(ctx, x)
+	lp, err := local.PredictBatch(ctx, []mat.Vec{x})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := remote.Predict(ctx, x)
+	rp, err := remote.PredictBatch(ctx, []mat.Vec{x})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lp.EqualApprox(rp, 0) {
+	if !lp[0].EqualApprox(rp[0], 0) {
 		t.Fatalf("local %v != remote %v", lp, rp)
 	}
 	if !local.Healthy(ctx) || !remote.Healthy(ctx) {

@@ -12,8 +12,7 @@ import (
 )
 
 // hangingBackend blocks every batch until its context is cancelled — a
-// worker that accepted the request and went silent. Singles answer normally
-// so routing tests can still warm it up.
+// worker that accepted the request and went silent.
 type hangingBackend struct {
 	Backend
 	hung atomic.Int64 // batches currently parked
@@ -31,49 +30,52 @@ func TestShardHedgeRescuesHangingBackend(t *testing.T) {
 	// hedge threshold its chunk is speculatively re-dispatched, the healthy
 	// backend's answer wins bit-identically, and the hang is cancelled —
 	// all without quarantining anyone (the hang lost a race; it did not
-	// report an error of its own).
+	// report an error of its own). The hanging backend comes first, so a
+	// fresh shard seeds it with a one-row batch's only chunk.
 	single := testModel(600)
-	hang := &hangingBackend{Backend: NewLocalBackend(testModel(600), "hang")}
-	s, err := NewShardBackends([]Backend{
-		NewLocalBackend(testModel(600), "good"),
-		hang,
-	}, ShardConfig{Hedge: true, HedgeMin: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := shardProbes(64)
-	done := make(chan error, 1)
-	var got []mat.Vec
-	go func() {
-		var err error
-		got, err = s.PredictBatch(xs)
-		done <- err
-	}()
-	select {
-	case err := <-done:
+	for _, n := range []int{64, 1} {
+		hang := &hangingBackend{Backend: NewLocalBackend(testModel(600), "hang")}
+		s, err := NewShardBackends([]Backend{
+			hang,
+			NewLocalBackend(testModel(600), "good"),
+		}, ShardConfig{Hedge: true, HedgeMin: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("hedging did not rescue the batch from the hanging backend")
-	}
-	for i, x := range xs {
-		if want := single.Predict(x); !got[i].EqualApprox(want, 0) {
-			t.Fatalf("item %d: %v != %v", i, got[i], want)
+		xs := shardProbes(n)
+		done := make(chan error, 1)
+		var got []mat.Vec
+		go func() {
+			var err error
+			got, err = s.PredictBatch(xs)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("n=%d: hedging did not rescue the batch from the hanging backend", n)
 		}
-	}
-	status := map[string]BackendStatus{}
-	for _, st := range s.BackendStatus() {
-		status[st.Name] = st
-	}
-	if status["hang"].Hedges == 0 {
-		t.Fatalf("no hedge launched against the hanging backend: %+v", status)
-	}
-	if status["good"].HedgeWins == 0 {
-		t.Fatalf("healthy backend recorded no hedge wins: %+v", status)
-	}
-	if status["hang"].State != "ok" || status["hang"].Failures != 0 {
-		t.Fatalf("losing a hedge race quarantined the backend: %+v", status["hang"])
+		for i, x := range xs {
+			if want := single.Predict(x); !got[i].EqualApprox(want, 0) {
+				t.Fatalf("n=%d item %d: %v != %v", n, i, got[i], want)
+			}
+		}
+		status := map[string]BackendStatus{}
+		for _, st := range s.BackendStatus() {
+			status[st.Name] = st
+		}
+		if status["hang"].Hedges == 0 {
+			t.Fatalf("n=%d: no hedge launched against the hanging backend: %+v", n, status)
+		}
+		if status["good"].HedgeWins == 0 {
+			t.Fatalf("n=%d: healthy backend recorded no hedge wins: %+v", n, status)
+		}
+		if status["hang"].State != "ok" || status["hang"].Failures != 0 {
+			t.Fatalf("n=%d: losing a hedge race quarantined the backend: %+v", n, status["hang"])
+		}
 	}
 }
 
@@ -168,7 +170,7 @@ func TestShardCallerCancellationDoesNotPoisonQuarantine(t *testing.T) {
 	// Same rule on the single-prediction path.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel2()
-	blocked := &ctxWaitBackend{Backend: NewLocalBackend(testModel(602), "wait")}
+	blocked := &hangingBackend{Backend: NewLocalBackend(testModel(602), "wait")}
 	s2, err := NewShardBackends([]Backend{blocked}, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,14 +181,6 @@ func TestShardCallerCancellationDoesNotPoisonQuarantine(t *testing.T) {
 	if st := s2.BackendStatus()[0]; st.State != "ok" || st.Failures != 0 {
 		t.Fatalf("cancelled single poisoned quarantine accounting: %+v", st)
 	}
-}
-
-// ctxWaitBackend parks singles until the caller's context dies.
-type ctxWaitBackend struct{ Backend }
-
-func (b *ctxWaitBackend) Predict(ctx context.Context, x mat.Vec) (mat.Vec, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
 }
 
 func TestShardRemoveBackendDrainsInFlightChunks(t *testing.T) {

@@ -85,21 +85,14 @@ type statsResponse struct {
 	// counters. A remote or temporarily unhealthy backend stays listed with
 	// state "unreachable" rather than disappearing from the report.
 	Backends []BackendStatus `json:"backends,omitempty"`
-	// Cache counters are present when the served model sits behind a
-	// ResponseCache (plmserve -cache N). Pointers keep genuine zeros visible
-	// while omitting the fields entirely on cacheless servers.
-	CacheHits      *int64 `json:"cache_hits,omitempty"`
-	CacheMisses    *int64 `json:"cache_misses,omitempty"`
-	CacheEvictions *int64 `json:"cache_evictions,omitempty"`
-	CacheSize      *int   `json:"cache_size,omitempty"`
 	// Registry is the fleet-membership section a mounted Registry fills in:
 	// live members and the join/leave/expiry transition counters.
 	Registry *RegistryStatus `json:"registry,omitempty"`
 	// Caches is the unified per-store section: every cache in the process
 	// (response cache, region cache, atlas) reports the same
 	// hits/misses/evictions/size/bytes shape under its name, so dashboards
-	// parse one schema. The legacy cache_* fields above stay for old
-	// consumers.
+	// parse one schema; a ResponseCache in front of the model reports as
+	// "response".
 	Caches map[string]plm.StoreStats `json:"caches,omitempty"`
 	// Atlas is the region-atlas section (plmserve -atlas).
 	Atlas *AtlasStatus `json:"atlas,omitempty"`
@@ -199,12 +192,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	model := s.model
 	if rc, ok := model.(*ResponseCache); ok {
-		hits, misses, evictions := rc.CacheStats()
-		size := rc.Len()
-		resp.CacheHits = &hits
-		resp.CacheMisses = &misses
-		resp.CacheEvictions = &evictions
-		resp.CacheSize = &size
 		addCache("response", rc.StoreStats())
 		// The replica breakdown lives behind the cache.
 		model = rc.Inner()
@@ -317,47 +304,28 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.Latency > 0 {
 		time.Sleep(s.Latency)
 	}
-	// Models with an error surface (a Shard whose backends are all gone,
-	// say) answer 5xx rather than fabricating probabilities — and like a
-	// failed batch, a failed prediction delivered nothing, so it is not
-	// counted. Context-aware models additionally see the request context, so
-	// a client that hangs up cancels its own fan-out.
-	var probs mat.Vec
-	switch m := s.model.(type) {
-	case ctxErrPredictor:
-		p, err := m.PredictErrCtx(r.Context(), mat.Vec(x))
-		if err != nil {
-			ex.Error(w, http.StatusInternalServerError, err)
-			return
-		}
-		probs = p
-	case errPredictor:
-		p, err := m.PredictErr(mat.Vec(x))
-		if err != nil {
-			ex.Error(w, http.StatusInternalServerError, err)
-			return
-		}
-		probs = p
-	default:
-		probs = s.model.Predict(mat.Vec(x))
+	// A single prediction is a batch of one: the same model call, failure
+	// rule and count-after-success as /batch.
+	ys, err := s.predictRows(r.Context(), []mat.Vec{x})
+	if err != nil {
+		ex.Error(w, http.StatusInternalServerError, err)
+		return
 	}
 	s.requests.Add(1)
 	s.queries.Add(1)
-	ex.WriteVec(w, "probs", probs)
+	ex.WriteVec(w, "probs", ys[0])
 }
 
-// errPredictor is the optional single-prediction error surface (Client,
-// Shard, ResponseCache): Predict with failures made visible instead of
-// degraded into a uniform answer.
-type errPredictor interface {
-	PredictErr(x mat.Vec) (mat.Vec, error)
-}
-
-// ctxErrPredictor is the deadline-aware refinement of errPredictor: the
-// server hands the request context down so a caller timeout cancels the
-// shard fan-out behind the endpoint.
-type ctxErrPredictor interface {
-	PredictErrCtx(ctx context.Context, x mat.Vec) (mat.Vec, error)
+// predictRows answers xs through the model's own batch endpoint — a
+// Shard's load-aware fan-out, say — or, for plain models, per probe. A
+// model with an error surface (a Shard whose backends are all gone) fails
+// the call instead of fabricating probabilities, and a context-aware one
+// sees ctx, so a client that hangs up cancels its own fan-out.
+func (s *Server) predictRows(ctx context.Context, xs []mat.Vec) ([]mat.Vec, error) {
+	if cb, ok := s.model.(ctxBatchPredictor); ok {
+		return cb.PredictBatchCtx(ctx, xs)
+	}
+	return predictAllErr(s.model, xs)
 }
 
 // ctxBatchPredictor is the deadline-aware refinement of plm.BatchPredictor.
@@ -412,19 +380,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, x := range rows {
 		xs[i] = mat.Vec(x)
 	}
-	// The model's own batch endpoint — a Shard's parallel replica fan-out,
-	// say — answers the whole request at once; plain models fall back to
-	// per-probe evaluation. Count only after it succeeds: a failed batch
-	// delivered zero answers, and counting it (times the client's 5xx
-	// retries) would skew the queries/round_trips ratio like any other
-	// rejected request. Context-aware models see the request context so a
-	// hung-up client cancels the fan-out instead of burning backends.
-	var ys []mat.Vec
-	if cb, ok := s.model.(ctxBatchPredictor); ok {
-		ys, err = cb.PredictBatchCtx(context.WithValue(r.Context(), rowsKey{}, ex), xs)
-	} else {
-		ys, err = predictAllErr(s.model, xs)
-	}
+	// Count only after the model answers: a failed batch delivered zero
+	// answers, and counting it (times the client's 5xx retries) would skew
+	// the queries/round_trips ratio like any other rejected request.
+	ys, err := s.predictRows(context.WithValue(r.Context(), rowsKey{}, ex), xs)
 	if err != nil {
 		ex.Error(w, http.StatusInternalServerError, err)
 		return
@@ -891,5 +850,4 @@ var _ plm.Model = (*Client)(nil)
 var _ plm.Model = (*Counter)(nil)
 var _ plm.Model = (*Flaky)(nil)
 var _ plm.BatchPredictor = (*Flaky)(nil)
-var _ ctxErrPredictor = (*Client)(nil)
 var _ ctxBatchPredictor = (*Client)(nil)

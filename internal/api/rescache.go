@@ -51,11 +51,6 @@ func (rc *ResponseCache) Dim() int { return rc.inner.Dim() }
 // Classes forwards to the wrapped model.
 func (rc *ResponseCache) Classes() int { return rc.inner.Classes() }
 
-// CacheStats returns the hit, miss and eviction counts.
-func (rc *ResponseCache) CacheStats() (hits, misses, evictions int64) {
-	return rc.hits.Load(), rc.misses.Load(), rc.evictions.Load()
-}
-
 // StoreStats returns the unified accounting shape (see plm.StoreStats).
 // Bytes counts the cached probability vectors' float payloads.
 func (rc *ResponseCache) StoreStats() plm.StoreStats {
@@ -113,55 +108,16 @@ func (rc *ResponseCache) insert(key string, p mat.Vec) {
 	}
 }
 
-// PredictErr serves from the cache when possible, otherwise forwards —
-// through the inner model's own error surface when it has one, so a shard
-// outage behind the cache reaches the server as an error (and is not
-// cached) instead of being memoized as a fabricated answer.
-func (rc *ResponseCache) PredictErr(x mat.Vec) (mat.Vec, error) {
-	return rc.PredictErrCtx(context.Background(), x)
-}
-
-// PredictErrCtx is PredictErr with the caller's context threaded through to
-// a context-aware inner model — the cache must not be the layer where a
-// deadline stops propagating. Hits never consult the context: a cached
-// answer is free.
-func (rc *ResponseCache) PredictErrCtx(ctx context.Context, x mat.Vec) (mat.Vec, error) {
-	key := cacheKey(x)
-	if p, ok := rc.lookup(key); ok {
-		rc.hits.Add(1)
-		return p.Clone(), nil
-	}
-	rc.misses.Add(1)
-	var p mat.Vec
-	switch ep := rc.inner.(type) {
-	case ctxErrPredictor:
-		got, err := ep.PredictErrCtx(ctx, x)
-		if err != nil {
-			return nil, err
-		}
-		p = got
-	case errPredictor:
-		got, err := ep.PredictErr(x)
-		if err != nil {
-			return nil, err
-		}
-		p = got
-	default:
-		p = rc.inner.Predict(x)
-	}
-	rc.insert(key, p.Clone())
-	return p, nil
-}
-
-// Predict is PredictErr behind the errorless plm.Model surface; a total
-// inner failure degrades to the uniform distribution like Client.Predict.
+// Predict answers one probe as a one-row batch. The inner model's errors
+// are not cached; behind the errorless plm.Model surface a total inner
+// failure degrades to the uniform distribution like Client.Predict.
 func (rc *ResponseCache) Predict(x mat.Vec) mat.Vec {
-	p, err := rc.PredictErr(x)
+	ys, err := rc.PredictBatch([]mat.Vec{x})
 	if err != nil {
 		out := make(mat.Vec, rc.Classes())
 		return out.Fill(1 / float64(rc.Classes()))
 	}
-	return p
+	return ys[0]
 }
 
 // PredictBatch answers cached items locally and ships only the misses to
@@ -234,5 +190,4 @@ func (rc *ResponseCache) PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]m
 
 var _ plm.Model = (*ResponseCache)(nil)
 var _ plm.BatchPredictor = (*ResponseCache)(nil)
-var _ ctxErrPredictor = (*ResponseCache)(nil)
 var _ ctxBatchPredictor = (*ResponseCache)(nil)

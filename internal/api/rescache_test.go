@@ -50,9 +50,9 @@ func TestResponseCacheLRUPromotesOnHit(t *testing.T) {
 	if inner.Count() != base+1 {
 		t.Fatal("b survived although it was the least recently used entry")
 	}
-	hits, misses, evictions := rc.CacheStats()
-	if hits != 2 || misses != 4 || evictions != 2 {
-		t.Fatalf("stats %d/%d/%d, want hits=2 misses=4 evictions=2", hits, misses, evictions)
+	st := rc.StoreStats()
+	if st.Hits != 2 || st.Misses != 4 || st.Evictions != 2 {
+		t.Fatalf("stats %d/%d/%d, want hits=2 misses=4 evictions=2", st.Hits, st.Misses, st.Evictions)
 	}
 	if rc.Len() != 2 {
 		t.Fatalf("cache holds %d entries, cap 2", rc.Len())
@@ -93,8 +93,8 @@ func TestCacheHitsAndMisses(t *testing.T) {
 	if counter.Count() != 1 {
 		t.Fatalf("inner model called %d times, want 1", counter.Count())
 	}
-	if hits, misses, _ := cache.CacheStats(); hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d/%d", hits, misses)
+	if st := cache.StoreStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %d/%d", st.Hits, st.Misses)
 	}
 	// A different input misses.
 	cache.Predict(mat.Vec{0.1, 0.5, 0.5, 0.5})
@@ -133,7 +133,7 @@ func TestCacheBoundedEvictsOldest(t *testing.T) {
 	if counter.Count() != 2 {
 		t.Fatalf("bounded cache: model called %d times, want 2", counter.Count())
 	}
-	if _, _, evictions := cache.CacheStats(); evictions != 1 {
+	if evictions := cache.StoreStats().Evictions; evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", evictions)
 	}
 	cache.Predict(a) // evicted earlier, so this is a fresh miss
@@ -169,7 +169,8 @@ func TestResponseCacheBatchCoalescesAndPreservesOrder(t *testing.T) {
 			}
 		}
 	}
-	hits, misses, _ := rc.CacheStats()
+	st := rc.StoreStats()
+	hits, misses := st.Hits, st.Misses
 	if misses != 2 { // a's warmup + b
 		t.Fatalf("misses = %d, want 2", misses)
 	}
@@ -257,27 +258,28 @@ func TestServerStatsReportsCacheCounters(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var stats struct {
-		Queries        int64   `json:"queries"`
-		CacheHits      *int64  `json:"cache_hits"`
-		CacheMisses    *int64  `json:"cache_misses"`
-		CacheEvictions *int64  `json:"cache_evictions"`
-		CacheSize      *int    `json:"cache_size"`
-		ReplicaQueries []int64 `json:"replica_queries"`
+		Queries        int64                     `json:"queries"`
+		Caches         map[string]plm.StoreStats `json:"caches"`
+		ReplicaQueries []int64                   `json:"replica_queries"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHits == nil || *stats.CacheHits != 1 {
-		t.Fatalf("cache_hits = %v, want 1", stats.CacheHits)
+	rs, ok := stats.Caches["response"]
+	if !ok {
+		t.Fatalf("caches = %v, want a response section", stats.Caches)
 	}
-	if stats.CacheMisses == nil || *stats.CacheMisses != 1 {
-		t.Fatalf("cache_misses = %v, want 1", stats.CacheMisses)
+	if rs.Hits != 1 {
+		t.Fatalf("caches.response.hits = %d, want 1", rs.Hits)
 	}
-	if stats.CacheEvictions == nil || *stats.CacheEvictions != 0 {
-		t.Fatalf("cache_evictions = %v, want 0", stats.CacheEvictions)
+	if rs.Misses != 1 {
+		t.Fatalf("caches.response.misses = %d, want 1", rs.Misses)
 	}
-	if stats.CacheSize == nil || *stats.CacheSize != 1 {
-		t.Fatalf("cache_size = %v, want 1", stats.CacheSize)
+	if rs.Evictions != 0 {
+		t.Fatalf("caches.response.evictions = %d, want 0", rs.Evictions)
+	}
+	if rs.Size != 1 {
+		t.Fatalf("caches.response.size = %d, want 1", rs.Size)
 	}
 	if len(stats.ReplicaQueries) != 2 {
 		t.Fatalf("replica_queries = %v, want 2 replicas behind the cache", stats.ReplicaQueries)

@@ -1,8 +1,10 @@
 package api
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,7 +64,8 @@ type Shard struct {
 	dim      int
 	classes  int
 
-	// next drives the round-robin tie-break for single predictions.
+	// next rotates dispatch's seed order, so equally loaded backends take
+	// turns at a batch's first chunk.
 	next atomic.Int64
 	// now is the clock, swappable in tests.
 	now func() time.Time
@@ -135,7 +138,7 @@ type backendState struct {
 	queries  atomic.Int64 // probes answered successfully
 	inflight atomic.Int64 // probes currently outstanding
 	retries  atomic.Int64 // chunks re-dispatched away after this backend failed them
-	failures atomic.Int64 // failed calls (chunks, singles, recovery probes)
+	failures atomic.Int64 // failed calls (chunks, recovery probes)
 
 	hedges       atomic.Int64 // hedges launched because this backend sat on a chunk
 	hedgeWins    atomic.Int64 // hedged chunks this backend answered first
@@ -491,50 +494,23 @@ func (s *Shard) eligible(ctx context.Context) []*backendState {
 	return out
 }
 
-// PredictErr routes one prediction to the eligible backend with the fewest
-// outstanding probes, breaking ties round-robin. A failing backend is
-// quarantined and the probe fails over to the next; when every backend has
-// failed, the error surfaces — the HTTP server turns it into a 5xx instead
-// of fabricating an answer.
+// PredictErr answers one prediction as a one-row batch: the same load-aware
+// dispatch, failover and quarantine accounting as PredictBatch. When every
+// backend has failed, the error surfaces — the HTTP server turns it into a
+// 5xx instead of fabricating an answer.
 func (s *Shard) PredictErr(x mat.Vec) (mat.Vec, error) {
 	return s.PredictErrCtx(context.Background(), x)
 }
 
-// PredictErrCtx is PredictErr under a caller context: the context reaches
-// the backend call, and a probe that dies because the context ended fails
-// the call without quarantining the backend — a dead caller is not a dead
-// backend.
+// PredictErrCtx is PredictErr under a caller context: a probe that dies
+// because the context ended fails the call without quarantining the
+// backend — a dead caller is not a dead backend.
 func (s *Shard) PredictErrCtx(ctx context.Context, x mat.Vec) (mat.Vec, error) {
-	tried := make(map[*backendState]bool)
-	var lastErr error
-	for {
-		st := s.pickLeastLoaded(ctx, tried)
-		if st == nil {
-			if lastErr == nil {
-				return nil, fmt.Errorf("api: shard has no backends")
-			}
-			return nil, fmt.Errorf("api: all %d backends failed: %w", len(tried), lastErr)
-		}
-		tried[st] = true
-		st.inflight.Add(1)
-		p, err := st.b.Predict(ctx, x)
-		st.inflight.Add(-1)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The caller's deadline or cancellation, not the backend's
-				// fault: surface it without poisoning quarantine accounting
-				// or burning retries on backends that never saw the probe.
-				return nil, err
-			}
-			lastErr = err
-			st.failures.Add(1)
-			s.quarantine(st)
-			continue
-		}
-		s.clearQuarantine(st)
-		st.queries.Add(1)
-		return p, nil
+	ys, err := s.PredictBatchCtx(ctx, []mat.Vec{x})
+	if err != nil {
+		return nil, err
 	}
+	return ys[0], nil
 }
 
 // Predict is PredictErr behind the errorless plm.Model surface: when every
@@ -563,29 +539,6 @@ func (s *Shard) clearQuarantine(st *backendState) {
 		st.quarantinedUntil = time.Time{}
 		st.backoff = 0
 	}
-}
-
-// pickLeastLoaded returns the untried eligible backend with the fewest
-// inflight probes, scanning from a rotating start so equal loads
-// round-robin. Returns nil when every eligible backend has been tried.
-func (s *Shard) pickLeastLoaded(ctx context.Context, tried map[*backendState]bool) *backendState {
-	elig := s.eligible(ctx)
-	if len(elig) == 0 {
-		return nil
-	}
-	start := int(s.next.Add(1)-1) % len(elig)
-	var best *backendState
-	var bestLoad int64
-	for i := 0; i < len(elig); i++ {
-		st := elig[(start+i)%len(elig)]
-		if tried[st] {
-			continue
-		}
-		if load := st.inflight.Load(); best == nil || load < bestLoad {
-			best, bestLoad = st, load
-		}
-	}
-	return best
 }
 
 // minChunkBytes is the input a default-sized chunk carries at least. A
@@ -656,58 +609,31 @@ func (s *Shard) PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]mat.Vec, e
 	}
 	spans := s.chunkSpans(len(xs), len(xs[0]), len(elig))
 	out := make([]mat.Vec, len(xs))
-	if len(elig) == 1 || len(spans) == 1 {
-		if err := s.runSpans(ctx, xs, out, spans, elig); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	if err := s.dispatch(ctx, xs, out, spans, elig); err != nil {
+	if err := s.dispatch(ctx, xs, out, spans, s.seedOrder(elig)); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// runSpans answers the chunks serially with failover: each backend in turn
-// (least-loaded first) tries the remaining work, so even a single-chunk
-// batch survives a dead backend as long as one lives.
-func (s *Shard) runSpans(ctx context.Context, xs []mat.Vec, out []mat.Vec, spans []span, elig []*backendState) error {
-	var lastErr error
-	tried := make(map[*backendState]bool, len(elig))
-	for len(tried) < len(elig) {
-		st := s.pickLeastLoaded(ctx, tried)
-		if st == nil {
-			break
-		}
-		tried[st] = true
-		if err := s.runChunksOn(ctx, st, xs, out, spans); err != nil {
-			if ctx.Err() != nil {
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		return nil
+// seedOrder returns elig least-loaded first — the order dispatch seeds its
+// chunks in — scanning from a rotating start so backends with equal loads
+// take turns: a one-chunk batch goes to the least-loaded backend, and
+// successive ones round-robin across an idle fleet.
+func (s *Shard) seedOrder(elig []*backendState) []*backendState {
+	start := int(s.next.Add(1)-1) % len(elig)
+	order := make([]*backendState, len(elig))
+	loads := make(map[*backendState]int64, len(elig))
+	for i := range order {
+		order[i] = elig[(start+i)%len(elig)]
+		loads[order[i]] = order[i].inflight.Load()
 	}
-	return fmt.Errorf("api: all %d backends failed: %w", len(elig), lastErr)
-}
-
-// runChunksOn answers every span on one backend, quarantining it on the
-// first failure.
-func (s *Shard) runChunksOn(ctx context.Context, st *backendState, xs []mat.Vec, out []mat.Vec, spans []span) error {
-	for _, sp := range spans {
-		ys, err := s.runChunk(ctx, st, xs[sp.lo:sp.hi])
-		if err != nil {
-			return err
-		}
-		copy(out[sp.lo:sp.hi], ys)
-	}
-	return nil
+	slices.SortStableFunc(order, func(a, b *backendState) int { return cmp.Compare(loads[a], loads[b]) })
+	return order
 }
 
 // attemptChunk runs one chunk on one backend: inflight accounting and RTT
-// observation, no routing policy — the serial and hedged paths layer their
-// own quarantine/claim rules on top.
+// observation, no routing policy — dispatch layers its quarantine and claim
+// rules on top.
 func (s *Shard) attemptChunk(ctx context.Context, st *backendState, xs []mat.Vec) ([]mat.Vec, error) {
 	n := int64(len(xs))
 	st.inflight.Add(n)
@@ -722,24 +648,6 @@ func (s *Shard) attemptChunk(ctx context.Context, st *backendState, xs []mat.Vec
 		st.observeRTT(rtt)
 	}
 	return ys, err
-}
-
-// runChunk answers one chunk on one backend, maintaining the query and
-// failure counters and the quarantine state machine. A chunk that dies
-// because the context ended is not the backend's failure and does not
-// quarantine it.
-func (s *Shard) runChunk(ctx context.Context, st *backendState, xs []mat.Vec) ([]mat.Vec, error) {
-	ys, err := s.attemptChunk(ctx, st, xs)
-	if err != nil {
-		if ctx.Err() == nil {
-			st.failures.Add(1)
-			s.quarantine(st)
-		}
-		return nil, err
-	}
-	s.clearQuarantine(st)
-	st.queries.Add(int64(len(xs)))
-	return ys, nil
 }
 
 // hedgeThreshold is how long a chunk may sit on this backend before a
@@ -798,8 +706,9 @@ type taskRef struct {
 }
 
 // dispatch runs the load-aware chunk schedule. Each backend is seeded with
-// one chunk — every backend participates, and on same-speed backends the
-// split degenerates to the even one — while the remaining chunks sit on a
+// one chunk, in elig's order (seedOrder: least loaded first) — every
+// backend participates, and on same-speed backends the split degenerates
+// to the even one — while the remaining chunks sit on a
 // shared queue that workers pull from as they finish, so faster (or less
 // loaded) backends absorb more of the tail. A worker whose chunk genuinely
 // fails re-enqueues it for the others and leaves the batch; pending counts
@@ -1001,5 +910,4 @@ func (s *Shard) dispatch(ctx context.Context, xs []mat.Vec, out []mat.Vec, spans
 
 var _ plm.Model = (*Shard)(nil)
 var _ plm.BatchPredictor = (*Shard)(nil)
-var _ ctxErrPredictor = (*Shard)(nil)
 var _ ctxBatchPredictor = (*Shard)(nil)

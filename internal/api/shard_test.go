@@ -142,13 +142,6 @@ type scriptedBackend struct {
 	down atomic.Bool
 }
 
-func (b *scriptedBackend) Predict(ctx context.Context, x mat.Vec) (mat.Vec, error) {
-	if b.down.Load() {
-		return nil, errors.New("backend down")
-	}
-	return b.Backend.Predict(ctx, x)
-}
-
 func (b *scriptedBackend) PredictBatch(ctx context.Context, xs []mat.Vec) ([]mat.Vec, error) {
 	if b.down.Load() {
 		return nil, errors.New("backend down")
@@ -169,36 +162,40 @@ func shardProbes(n int) []mat.Vec {
 func TestShardFailsOverDeadBackendPreservingOrder(t *testing.T) {
 	// A dead backend no longer fails the batch: its chunk is re-dispatched
 	// to the survivors and the merged answer stays bit-identical to a
-	// single healthy backend, in submission order.
+	// single healthy backend, in submission order. The dead backend comes
+	// first, so a fresh shard seeds it with the first chunk — for a
+	// one-row batch, the only one.
 	single := testModel(204)
-	dead := &scriptedBackend{Backend: NewLocalBackend(testModel(204), "dead")}
-	dead.down.Store(true)
-	s, err := NewShardBackends([]Backend{
-		NewLocalBackend(testModel(204), "good"),
-		dead,
-	}, ShardConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := shardProbes(16)
-	got, err := s.PredictBatch(xs)
-	if err != nil {
-		t.Fatalf("one dead backend failed the batch: %v", err)
-	}
-	for i, x := range xs {
-		if want := single.Predict(x); !got[i].EqualApprox(want, 0) {
-			t.Fatalf("item %d: %v != %v", i, got[i], want)
+	for _, n := range []int{16, 1} {
+		dead := &scriptedBackend{Backend: NewLocalBackend(testModel(204), "dead")}
+		dead.down.Store(true)
+		s, err := NewShardBackends([]Backend{
+			dead,
+			NewLocalBackend(testModel(204), "good"),
+		}, ShardConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	status := s.BackendStatus()
-	if status[0].Queries != 16 || status[1].Queries != 0 {
-		t.Fatalf("queries = %d/%d, want 16/0", status[0].Queries, status[1].Queries)
-	}
-	if status[1].State != "unreachable" {
-		t.Fatalf("dead backend state %q, want unreachable", status[1].State)
-	}
-	if status[1].Failures == 0 || status[1].Retries == 0 {
-		t.Fatalf("dead backend failures=%d retries=%d, want both > 0", status[1].Failures, status[1].Retries)
+		xs := shardProbes(n)
+		got, err := s.PredictBatch(xs)
+		if err != nil {
+			t.Fatalf("n=%d: one dead backend failed the batch: %v", n, err)
+		}
+		for i, x := range xs {
+			if want := single.Predict(x); !got[i].EqualApprox(want, 0) {
+				t.Fatalf("n=%d item %d: %v != %v", n, i, got[i], want)
+			}
+		}
+		status := s.BackendStatus()
+		if status[1].Queries != int64(n) || status[0].Queries != 0 {
+			t.Fatalf("n=%d: queries good/dead = %d/%d, want %d/0", n, status[1].Queries, status[0].Queries, n)
+		}
+		if status[0].State != "unreachable" {
+			t.Fatalf("n=%d: dead backend state %q, want unreachable", n, status[0].State)
+		}
+		if status[0].Failures == 0 || status[0].Retries == 0 {
+			t.Fatalf("n=%d: dead backend failures=%d retries=%d, want both > 0", n, status[0].Failures, status[0].Retries)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,34 +168,67 @@ func TestNewClientAgainstLegacyJSONServer(t *testing.T) {
 }
 
 func TestBatchProbsBitIdenticalAcrossCodecs(t *testing.T) {
-	_, ts := newTestServer(t)
-	c, err := Dial(ts.URL, nil, 0)
+	// Served twice: by a PLNN worker, and by a router over two PLNN workers,
+	// which forwards a /predict to them as a one-row /v1/batch. Either way
+	// a single prediction is its row of the batch, bit for bit.
+	_, worker := newTestServer(t)
+	var backends []Backend
+	for _, name := range []string{"w0", "w1"} {
+		b, ts := remoteBackendFor(t, testModel(100), name)
+		t.Cleanup(ts.Close)
+		backends = append(backends, b)
+	}
+	shard, err := NewShardBackends(backends, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := wireProbes()
-	viaBinary, err := c.PredictBatch(xs)
-	if err != nil {
-		t.Fatal(err)
+	router := httptest.NewServer(NewServer(shard, "router"))
+	t.Cleanup(router.Close)
+	bits := func(v mat.Vec) []uint64 {
+		out := make([]uint64, len(v))
+		for i, f := range v {
+			out[i] = math.Float64bits(f)
+		}
+		return out
 	}
-	if err := c.SetCodec(wire.NameJSON); err != nil {
-		t.Fatal(err)
-	}
-	viaJSON, err := c.PredictBatch(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		for j := range viaBinary[i] {
-			if math.Float64bits(viaBinary[i][j]) != math.Float64bits(viaJSON[i][j]) {
-				t.Fatalf("item %d class %d: binary %x != json %x", i, j,
-					math.Float64bits(viaBinary[i][j]), math.Float64bits(viaJSON[i][j]))
+	for _, ts := range []*httptest.Server{worker, router} {
+		c, err := Dial(ts.URL, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := wireProbes()
+		viaBinary, err := c.PredictBatch(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetCodec(wire.NameJSON); err != nil {
+			t.Fatal(err)
+		}
+		viaJSON, err := c.PredictBatch(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range xs {
+			for j := range viaBinary[i] {
+				if math.Float64bits(viaBinary[i][j]) != math.Float64bits(viaJSON[i][j]) {
+					t.Fatalf("%s item %d class %d: binary %x != json %x", ts.URL, i, j,
+						math.Float64bits(viaBinary[i][j]), math.Float64bits(viaJSON[i][j]))
+				}
 			}
 		}
-	}
-	// Back to binary for good measure — the server still advertises it.
-	if err := c.SetCodec(wire.NameBinary); err != nil {
-		t.Fatal(err)
+		// Back to binary for good measure — the server still advertises it.
+		if err := c.SetCodec(wire.NameBinary); err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range xs {
+			p, err := c.PredictErr(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(bits(p), bits(viaBinary[i])) {
+				t.Fatalf("%s: /predict of item %d = %v, its /batch row %v", ts.URL, i, p, viaBinary[i])
+			}
+		}
 	}
 }
 

@@ -39,8 +39,8 @@ func TestBackendInjectsSeededFaults(t *testing.T) {
 	ctx := context.Background()
 	xs := chaosProbes(rand.New(rand.NewSource(901)), 200)
 	for i, x := range xs {
-		ya, erra := a.Predict(ctx, x)
-		yb, errb := b.Predict(ctx, x)
+		ya, erra := a.PredictBatch(ctx, []mat.Vec{x})
+		yb, errb := b.PredictBatch(ctx, []mat.Vec{x})
 		if (erra == nil) != (errb == nil) {
 			t.Fatalf("probe %d: same seed diverged (%v vs %v)", i, erra, errb)
 		}
@@ -50,7 +50,7 @@ func TestBackendInjectsSeededFaults(t *testing.T) {
 			}
 			continue
 		}
-		if want := model.Predict(x); !ya.EqualApprox(want, 0) || !yb.EqualApprox(want, 0) {
+		if want := model.Predict(x); !ya[0].EqualApprox(want, 0) || !yb[0].EqualApprox(want, 0) {
 			t.Fatalf("probe %d: injected fault corrupted an answer", i)
 		}
 	}
@@ -67,7 +67,7 @@ func TestBackendHangRespectsContext(t *testing.T) {
 	b := Wrap(api.NewLocalBackend(chaosModel(902), "hang"), Faults{HangRate: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := b.Predict(ctx, mat.Vec{0, 0, 0, 0}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := b.PredictBatch(ctx, []mat.Vec{{0, 0, 0, 0}}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("hung predict returned %v, want DeadlineExceeded", err)
 	}
 	if b.Counts().Hangs != 1 {

@@ -178,13 +178,6 @@ func (b *Backend) inject(ctx context.Context) error {
 	return nil
 }
 
-func (b *Backend) Predict(ctx context.Context, x mat.Vec) (mat.Vec, error) {
-	if err := b.inject(ctx); err != nil {
-		return nil, err
-	}
-	return b.inner.Predict(ctx, x)
-}
-
 func (b *Backend) PredictBatch(ctx context.Context, xs []mat.Vec) ([]mat.Vec, error) {
 	if err := b.inject(ctx); err != nil {
 		return nil, err

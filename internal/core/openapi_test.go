@@ -335,7 +335,7 @@ func TestOpenAPIThroughQueryCache(t *testing.T) {
 	if !a.Features.EqualApprox(b.Features, 1e-12) {
 		t.Fatal("cache changed the interpretation")
 	}
-	if _, misses, _ := cached.CacheStats(); misses != int64(b.Queries) {
+	if misses := cached.StoreStats().Misses; misses != int64(b.Queries) {
 		t.Fatalf("cache saw %d misses, want one per query (%d)", misses, b.Queries)
 	}
 }
