@@ -38,13 +38,15 @@ func main() {
 		testFrac  = flag.Float64("test-frac", 0.2, "held-out test fraction")
 		hidden    = flag.String("hidden", "64,32", "PLNN hidden sizes, comma separated")
 		epochs    = flag.Int("epochs", 15, "PLNN training epochs / LMT leaf epochs")
-		perSample = flag.Bool("per-sample", false, "train on the per-sample reference loop instead of the batched GEMM epoch (same weights, for A/B timing)")
 		seed      = flag.Int64("seed", 1, "RNG seed")
 		out       = flag.String("out", "", "output model path (required)")
 	)
 	flag.Parse()
 	if *out == "" {
 		log.Fatal("-out is required")
+	}
+	if err := checkFlags(*modelKind, *pieces, *testFrac); err != nil {
+		log.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -58,15 +60,10 @@ func main() {
 		data.Name, train.Len(), test.Len(), data.Dim(), data.Classes())
 
 	trainCfg := nn.TrainConfig{
-		Epochs:    *epochs,
-		PerSample: *perSample,
+		Epochs: *epochs,
 		Progress: func(e int, l float64) {
 			fmt.Printf("  epoch %d: loss %.4f\n", e, l)
 		},
-	}
-	pathName := "batched GEMM epoch"
-	if *perSample {
-		pathName = "per-sample reference loop"
 	}
 
 	switch strings.ToLower(*modelKind) {
@@ -86,7 +83,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("trained in %v (%s)\n", time.Since(start).Round(time.Millisecond), pathName)
+		fmt.Printf("trained in %v\n", time.Since(start).Round(time.Millisecond))
 		fmt.Printf("final loss %.4f, train acc %.3f, test acc %.3f\n",
 			loss, net.Accuracy(train.X, train.Y), net.Accuracy(test.X, test.Y))
 		if err := net.Save(*out); err != nil {
@@ -123,7 +120,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("trained in %v (%s)\n", time.Since(start).Round(time.Millisecond), pathName)
+		fmt.Printf("trained in %v\n", time.Since(start).Round(time.Millisecond))
 		fmt.Printf("final loss %.4f, train acc %.3f, test acc %.3f\n",
 			loss, net.Accuracy(train.X, train.Y), net.Accuracy(test.X, test.Y))
 		if err := net.Save(*out); err != nil {
@@ -133,6 +130,19 @@ func main() {
 		log.Fatalf("unknown -model %q (want plnn, lmt or maxout)", *modelKind)
 	}
 	fmt.Printf("saved %s model to %s\n", *modelKind, *out)
+}
+
+// checkFlags rejects flag values the training run cannot use, before any
+// data is built: a held-out fraction outside [0, 1) and a MaxOut network
+// with fewer than two pieces per unit.
+func checkFlags(model string, pieces int, testFrac float64) error {
+	if !(testFrac >= 0 && testFrac < 1) { // also rejects NaN
+		return fmt.Errorf("-test-frac %v out of range [0, 1)", testFrac)
+	}
+	if strings.ToLower(model) == "maxout" && pieces < 2 {
+		return fmt.Errorf("-pieces %d: maxout needs at least 2 pieces per unit", pieces)
+	}
+	return nil
 }
 
 func loadData(images, labels, name string, rng *rand.Rand, size, perClass int) (*dataset.Dataset, error) {

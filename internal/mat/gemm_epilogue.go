@@ -87,8 +87,8 @@ func (e *Epilogue) check(dst *Dense) {
 // applyEpilogueRows runs the epilogue over dst rows [i0, i1), called by
 // gemmBT as soon as a row block's accumulator chains have all committed.
 // Every operation is per-element post-accumulation: bias add, mask capture,
-// then activation, in the exact order (and with the exact expressions) the
-// unfused addBiasRows+activate passes used.
+// then activation, in the exact order (and with the exact expressions) a
+// separate bias-add pass and nn's scalar activate use.
 func applyEpilogueRows(dst *Dense, epi *Epilogue, i0, i1 int) {
 	if epi == nil {
 		return

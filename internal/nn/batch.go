@@ -2,46 +2,28 @@ package nn
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/mat"
 )
 
-// This file holds the batched compute fast path: an entire batch of inputs
-// is forwarded as one matrix-matrix product per layer (X · Wᵀ, both operands
-// walked along contiguous rows) instead of one matrix-vector product per
-// instance per layer. Every logit is still the same ascending-k dot product
-// plus bias the scalar path computes, so batched outputs are bit-identical
-// to per-instance Logits/Predict — the batching buys independent
-// floating-point chains and O(layers) allocations per batch, not different
-// arithmetic.
-
-// fusedForward gates the fused GEMM-epilogue forward paths: when on (the
-// default), bias add, activation-mask capture and activation run inside the
-// GEMM's row blocks via mat.MulBTIntoEpilogue while the output tile is still
-// cache-hot; when off, the original reference path (MulBTInto, then
-// addBiasRows, then a separate activation sweep) runs instead. Both orders
-// apply bias then activation per element only after that element's
-// accumulator chain has finished, so the two paths are bit-identical —
-// pinned by the fused parity tests, which flip this toggle.
-var fusedForward atomic.Bool
-
-func init() { fusedForward.Store(true) }
-
-// SetFusedForward enables or disables the fused forward/training paths and
-// returns the previous setting. The unfused path is kept reachable as the
-// bit-parity reference; production callers never need to touch this.
-func SetFusedForward(on bool) bool { return fusedForward.Swap(on) }
-
-// FusedForward reports whether the fused GEMM-epilogue paths are enabled.
-func FusedForward() bool { return fusedForward.Load() }
+// This file holds the batched forward: an entire batch of inputs is
+// forwarded as one matrix-matrix product per layer (X · Wᵀ, both operands
+// walked along contiguous rows) with bias add, activity-mask capture and
+// activation fused into the GEMM's row blocks (mat.MulBTIntoEpilogue).
+// Every logit is still the same ascending-k dot product plus bias the
+// scalar path computes, and the epilogue applies the scalar path's
+// per-element expressions after each chain has finished, so batched outputs
+// are bit-identical to per-instance Logits/Predict/ActivationPattern — the
+// batching buys independent floating-point chains and O(layers)
+// allocations per batch, not different arithmetic. The scalar methods are
+// the reference the parity tests diff against.
 
 // hiddenEpilogue fills e with the fused hidden-layer epilogue for bias b:
 // bias add, optional (z > 0) mask capture into mask, then the network's
 // activation — plain ReLU when leak is zero, leaky otherwise. Both kinds
 // compute leak·z on the non-positive side (leak = 0 reproduces the -0.0
-// bits of the reference's 0·z), so fused outputs match the unfused sweep
-// bit-for-bit.
+// bits of the scalar activate's 0·z), so batched outputs match the scalar
+// forward bit-for-bit.
 func (n *Network) hiddenEpilogue(e *mat.Epilogue, b mat.Vec, mask []bool) {
 	*e = mat.Epilogue{Bias: b, Mask: mask, Act: mat.ActLeakyReLU, Leak: n.leak}
 	if n.leak == 0 {
@@ -61,20 +43,12 @@ func stackBatch(xs []mat.Vec, dim int, what string) *mat.Dense {
 	return m
 }
 
-// addBiasRows adds b to every row of z.
-func addBiasRows(z *mat.Dense, b mat.Vec) {
-	for i := 0; i < z.Rows(); i++ {
-		z.RawRow(i).AddInPlace(b)
-	}
-}
-
 // forwardBatch pushes the whole batch through the network, one GEMM per
 // layer. When wantMasks is true it also records each instance's concatenated
 // hidden-layer activity mask (the activation pattern indexing its locally
 // linear region). The returned matrix holds one row of logits per instance.
 func (n *Network) forwardBatch(xs []mat.Vec, wantMasks bool) (*mat.Dense, [][]bool) {
 	B := len(xs)
-	fused := fusedForward.Load()
 	var masks [][]bool
 	var maskBuf []bool
 	if wantMasks {
@@ -89,50 +63,25 @@ func (n *Network) forwardBatch(xs []mat.Vec, wantMasks bool) (*mat.Dense, [][]bo
 		for i := range masks {
 			masks[i] = make([]bool, 0, hidden)
 		}
-		if fused {
-			maskBuf = make([]bool, B*widest)
-		}
+		maskBuf = make([]bool, B*widest)
 	}
 	cur := stackBatch(xs, n.InputDim(), "forward")
 	last := len(n.layers) - 1
 	for li, l := range n.layers {
 		z := mat.NewDense(B, l.Out())
-		if fused {
-			var epi mat.Epilogue
-			if li < last {
-				var mbuf []bool
-				if wantMasks {
-					mbuf = maskBuf[:B*l.Out()]
-				}
-				n.hiddenEpilogue(&epi, l.B, mbuf)
-			} else {
-				epi = mat.Epilogue{Bias: l.B}
+		epi := mat.Epilogue{Bias: l.B}
+		if li < last {
+			var mbuf []bool
+			if wantMasks {
+				mbuf = maskBuf[:B*l.Out()]
 			}
-			cur.MulBTIntoEpilogue(l.W, z, &epi)
-			if wantMasks && li < last {
-				w := l.Out()
-				for i := 0; i < B; i++ {
-					masks[i] = append(masks[i], epi.Mask[i*w:i*w+w]...)
-				}
-			}
-		} else {
-			cur.MulBTInto(l.W, z)
-			addBiasRows(z, l.B)
-			if li < last {
-				leak := n.leak
-				for i := 0; i < B; i++ {
-					row := z.RawRow(i)
-					if wantMasks {
-						for _, v := range row {
-							masks[i] = append(masks[i], v > 0)
-						}
-					}
-					for j, v := range row {
-						if v <= 0 {
-							row[j] = leak * v
-						}
-					}
-				}
+			n.hiddenEpilogue(&epi, l.B, mbuf)
+		}
+		cur.MulBTIntoEpilogue(l.W, z, &epi)
+		if wantMasks && li < last {
+			w := l.Out()
+			for i := 0; i < B; i++ {
+				masks[i] = append(masks[i], epi.Mask[i*w:i*w+w]...)
 			}
 		}
 		cur = z
@@ -231,21 +180,15 @@ func (n *MaxoutNetwork) forwardBatchMaxout(xs []mat.Vec, wantWinners bool) (*mat
 		}
 	}
 	cur := stackBatch(xs, n.InputDim(), "maxout forward")
-	fused := fusedForward.Load()
 	for _, l := range n.hidden {
-		// One GEMM per piece over the whole batch; in fused mode the bias
-		// rides inside the GEMM's epilogue (identity activation — the max
-		// fold below is the nonlinearity).
+		// One GEMM per piece over the whole batch, the bias riding inside
+		// the GEMM's epilogue (identity activation — the max fold below is
+		// the nonlinearity).
 		outs := make([]*mat.Dense, l.K())
 		for p, piece := range l.Pieces {
 			zp := mat.NewDense(B, l.Out())
-			if fused {
-				epi := mat.Epilogue{Bias: piece.B}
-				cur.MulBTIntoEpilogue(piece.W, zp, &epi)
-			} else {
-				cur.MulBTInto(piece.W, zp)
-				addBiasRows(zp, piece.B)
-			}
+			epi := mat.Epilogue{Bias: piece.B}
+			cur.MulBTIntoEpilogue(piece.W, zp, &epi)
 			outs[p] = zp
 		}
 		h := mat.NewDense(B, l.Out())
@@ -280,12 +223,7 @@ func (n *MaxoutNetwork) forwardBatchMaxout(xs []mat.Vec, wantWinners bool) (*mat
 		cur = h
 	}
 	z := mat.NewDense(B, n.out.Out())
-	if fused {
-		epi := mat.Epilogue{Bias: n.out.B}
-		cur.MulBTIntoEpilogue(n.out.W, z, &epi)
-	} else {
-		cur.MulBTInto(n.out.W, z)
-		addBiasRows(z, n.out.B)
-	}
+	epi := mat.Epilogue{Bias: n.out.B}
+	cur.MulBTIntoEpilogue(n.out.W, z, &epi)
 	return z, winners
 }

@@ -59,9 +59,10 @@ func BenchmarkPredictBatch256(b *testing.B) {
 }
 
 // The PR-5 headline benchmarks: one full training epoch over 256 samples
-// of the paper's image architecture, per-sample reference loop versus the
-// batched GEMM path. Both produce bit-identical weights (see the Train
-// parity tests); only the schedule differs.
+// of the paper's image architecture, the per-sample reference
+// (trainPerSample) versus Train's batched GEMM step. Both produce
+// bit-identical weights (see the Train parity tests); only the schedule
+// differs.
 
 func benchTrainSetup(b *testing.B) (*Network, []mat.Vec, []int) {
 	b.Helper()
@@ -77,7 +78,7 @@ func benchTrainSetup(b *testing.B) (*Network, []mat.Vec, []int) {
 
 func benchTrainEpoch(b *testing.B, perSample bool) {
 	base, xs, ys := benchTrainSetup(b)
-	cfg := TrainConfig{Epochs: 1, BatchSize: 64, PerSample: perSample}
+	cfg := TrainConfig{Epochs: 1, BatchSize: 64}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -85,7 +86,9 @@ func benchTrainEpoch(b *testing.B, perSample bool) {
 		net := base.Clone()
 		rng := rand.New(rand.NewSource(45))
 		b.StartTimer()
-		if _, err := net.Train(rng, xs, ys, cfg); err != nil {
+		if perSample {
+			trainPerSample(net, rng, xs, ys, cfg)
+		} else if _, err := net.Train(rng, xs, ys, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +106,7 @@ func benchMaxoutTrainEpoch(b *testing.B, perSample bool) {
 	for i := range ys {
 		ys[i] = rng.Intn(10)
 	}
-	cfg := TrainConfig{Epochs: 1, BatchSize: 32, PerSample: perSample}
+	cfg := TrainConfig{Epochs: 1, BatchSize: 32}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -111,7 +114,9 @@ func benchMaxoutTrainEpoch(b *testing.B, perSample bool) {
 		net := base.Clone()
 		r := rand.New(rand.NewSource(47))
 		b.StartTimer()
-		if _, err := net.Train(r, xs, ys, cfg); err != nil {
+		if perSample {
+			trainPerSample(net, r, xs, ys, cfg)
+		} else if _, err := net.Train(r, xs, ys, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,29 +126,13 @@ func BenchmarkTrainEpochMaxout_PerSample(b *testing.B) { benchMaxoutTrainEpoch(b
 
 func BenchmarkTrainEpochMaxout_Batched(b *testing.B) { benchMaxoutTrainEpoch(b, false) }
 
-// The PR-9 headline pair: the fused GEMM-epilogue forward at the machine's
-// best kernel tier versus the exact configuration PR 3 shipped — unfused
-// bias/activation sweeps on the AVX2 tier (or the platform's previous best
-// where AVX2 does not exist). Outputs are bit-identical; the pair measures
-// the compute speed-floor raise from fusion plus the new tier.
+// The PR-9 headline benchmark: the fused GEMM-epilogue forward at the
+// machine's best kernel tier. It times the same call as
+// BenchmarkLogitsBatch256 and keeps its own name because BENCH_pr9.json
+// gates it.
 
 func BenchmarkForwardFused256(b *testing.B) {
 	n, xs := benchNetAndBatch(b)
-	prev := SetFusedForward(true)
-	defer SetFusedForward(prev)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = n.LogitsBatch(xs)
-	}
-}
-
-func BenchmarkForwardUnfusedPR3_256(b *testing.B) {
-	n, xs := benchNetAndBatch(b)
-	prev := SetFusedForward(false)
-	defer SetFusedForward(prev)
-	if prevTier, err := mat.SetKernelTier(mat.TierAVX2); err == nil {
-		defer mat.SetKernelTier(prevTier)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = n.LogitsBatch(xs)

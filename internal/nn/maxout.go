@@ -256,21 +256,6 @@ func newMaxoutGradients(n *MaxoutNetwork) *maxoutGradients {
 	return g
 }
 
-func (g *maxoutGradients) zero() {
-	zeroPair := func(p *gradPair) {
-		for r := 0; r < p.dW.Rows(); r++ {
-			p.dW.RawRow(r).Fill(0)
-		}
-		p.dB.Fill(0)
-	}
-	for li := range g.hidden {
-		for p := range g.hidden[li] {
-			zeroPair(&g.hidden[li][p])
-		}
-	}
-	zeroPair(&g.out)
-}
-
 // paramBlocks pairs every parameter span with its gradient accumulator, in
 // layer order: each hidden layer's pieces (rows of W, then B), then the
 // read-out.
@@ -291,80 +276,13 @@ func (n *MaxoutNetwork) paramBlocks(g *maxoutGradients) []paramBlock {
 	return blocks
 }
 
-// accumulate runs one forward/backward pass for (x, label), adds the
-// parameter gradients into g, and returns the sample's cross-entropy loss.
-// Gradients flow through the winning piece of every unit only — inside the
-// sample's locally linear region, the max IS that piece. The loop nesting
-// mirrors the batched path's per-piece GEMM schedule (one partial delta sum
-// per piece, summed piece-ascending), so both paths accumulate every
-// gradient in the same order and stay bit-identical.
-func (n *MaxoutNetwork) accumulate(g *maxoutGradients, x mat.Vec, label int) float64 {
-	st := n.forward(x)
-	probs := Softmax(st.logits)
-	loss := CrossEntropy(probs, label)
-	delta := probs.Clone()
-	delta[label] -= 1
-
-	// Read-out layer: dW += delta ⊗ h_last ; dB += delta.
-	hlast := st.acts[len(st.acts)-1]
-	for r, dr := range delta {
-		row := g.out.dW.RawRow(r)
-		for c, av := range hlast {
-			row[c] = math.FMA(dr, av, row[c])
-		}
-	}
-	g.out.dB.AddInPlace(delta)
-
-	// Backprop into the last hidden activation, then through the winners.
-	gv := n.out.W.MulVecT(delta)
-	for li := len(n.hidden) - 1; li >= 0; li-- {
-		l := n.hidden[li]
-		in := st.acts[li]
-		win := st.winners[li]
-		var next mat.Vec
-		if li > 0 {
-			next = mat.NewVec(len(in))
-		}
-		for p := range l.Pieces {
-			gp := &g.hidden[li][p]
-			var sp mat.Vec
-			if li > 0 {
-				sp = mat.NewVec(len(in))
-			}
-			for j, gj := range gv {
-				if win[j] != p {
-					continue
-				}
-				row := gp.dW.RawRow(j)
-				for c, iv := range in {
-					row[c] = math.FMA(gj, iv, row[c])
-				}
-				gp.dB[j] += gj
-				if li > 0 {
-					wrow := l.Pieces[p].W.RawRow(j)
-					for c, wv := range wrow {
-						sp[c] = math.FMA(gj, wv, sp[c])
-					}
-				}
-			}
-			if li > 0 {
-				next.AddInPlace(sp)
-			}
-		}
-		if li > 0 {
-			gv = next
-		}
-	}
-	return loss
-}
-
 // Train runs mini-batch training on the MaxOut network with the same
 // optimizer semantics as Network.Train (SGD with momentum, Adam, weight
 // decay). Gradients flow through the winning piece of each unit only (the
-// max is locally that piece). By default the whole mini-batch flows through
-// the network as matrices — per-piece GEMMs with winner-routed masking, see
-// train_batch.go — bit-identical to the per-sample reference loop
-// (cfg.PerSample). Returns the mean loss of the final epoch.
+// max is locally that piece). The whole mini-batch flows through the
+// network as matrices — per-piece GEMMs with winner-routed masking, see
+// train_batch.go — bit-identical to accumulating the gradients one sample
+// at a time. Returns the mean loss of the final epoch.
 func (n *MaxoutNetwork) Train(rng *rand.Rand, xs []mat.Vec, labels []int, cfg TrainConfig) (float64, error) {
 	if err := checkTrainingSet(xs, labels, n.Classes()); err != nil {
 		return 0, err
@@ -372,23 +290,10 @@ func (n *MaxoutNetwork) Train(rng *rand.Rand, xs []mat.Vec, labels []int, cfg Tr
 	cfg.setDefaults()
 	grads := newMaxoutGradients(n)
 	blocks := n.paramBlocks(grads)
-	var accumulate func(batch []int) float64
-	if cfg.PerSample {
-		accumulate = func(batch []int) float64 {
-			grads.zero()
-			var loss float64
-			for _, idx := range batch {
-				loss += n.accumulate(grads, xs[idx], labels[idx])
-			}
-			return loss
-		}
-	} else {
-		s := newMaxoutScratch(n, batchCap(cfg.BatchSize, len(xs)))
-		accumulate = func(batch []int) float64 {
-			return n.accumulateBatch(s, grads, xs, labels, batch)
-		}
-	}
-	return runEpochs(rng, len(xs), &cfg, blocks, accumulate), nil
+	s := newMaxoutScratch(n, batchCap(cfg.BatchSize, len(xs)))
+	return runEpochs(rng, len(xs), &cfg, blocks, func(batch []int) float64 {
+		return n.accumulateBatch(s, grads, xs, labels, batch)
+	}), nil
 }
 
 // Clone returns a deep copy of the network.

@@ -36,18 +36,11 @@ type TrainConfig struct {
 	Epochs       int       // passes over the training set (default 10)
 	BatchSize    int       // mini-batch size (default 32)
 	LearningRate float64   // step size (default 0.1 for SGD, 0.001 for Adam)
-	Momentum     float64   // SGD momentum coefficient in [0, 1) (default 0.9)
+	Momentum     float64   // SGD momentum in [0, 1) (default 0, none; values outside [0, 1) become 0.9)
 	WeightDecay  float64   // L2 penalty coefficient (default 0)
 	Optimizer    Optimizer // update rule (default SGD)
 	Beta1        float64   // Adam first-moment decay (default 0.9)
 	Beta2        float64   // Adam second-moment decay (default 0.999)
-	Verbose      bool      // log per-epoch loss via the Progress callback
-	// PerSample forces the reference per-sample training loop instead of
-	// the batched GEMM epoch. Both paths produce bit-identical weights
-	// given the same seed and batch order (pinned by the Train parity
-	// tests); the knob exists for those tests, for the epoch benchmarks,
-	// and for A/B timing from cmd/plmtrain.
-	PerSample bool
 	// Progress, when non-nil, is called after each epoch with the epoch
 	// index (1-based) and the mean training loss of that epoch.
 	Progress func(epoch int, loss float64)
@@ -109,8 +102,7 @@ func batchCap(batchSize, n int) int {
 // paramBlock pairs one contiguous parameter span with its gradient
 // accumulator. The optimizer updates every element independently, so block
 // granularity never affects the update arithmetic — blocks exist so one
-// update implementation serves Network and MaxoutNetwork, per-sample and
-// batched alike.
+// update implementation serves Network and MaxoutNetwork.
 type paramBlock struct {
 	w, g []float64
 	bias bool // biases skip weight decay under SGD (seed semantics)
@@ -138,9 +130,10 @@ func newOptimizer(cfg *TrainConfig, blocks []paramBlock) *optimizer {
 	return o
 }
 
-// step applies one mini-batch update to every block. The elementwise
-// arithmetic is shared by the per-sample and batched paths, so identical
-// gradient accumulators yield bit-identical weights.
+// step applies one mini-batch update to every block. Training and the
+// per-sample reference of the Train parity tests share this elementwise
+// arithmetic, so identical gradient accumulators yield bit-identical
+// weights.
 func (o *optimizer) step(blocks []paramBlock, batchLen int) {
 	cfg := o.cfg
 	invBatch := 1 / float64(batchLen)
@@ -180,11 +173,12 @@ func (o *optimizer) step(blocks []paramBlock, batchLen int) {
 }
 
 // runEpochs drives the shared training schedule — per-epoch shuffle,
-// mini-batch slicing, optimizer step — for every family/path combination.
-// accumulate must (re)fill the gradient accumulators behind blocks for the
-// given batch of sample indices and return the summed batch loss. The RNG
-// is consumed identically (one Perm per epoch) on every path, so switching
-// paths never changes the batch order.
+// mini-batch slicing, optimizer step — for both network families and for
+// the per-sample reference of the Train parity tests. accumulate must
+// (re)fill the gradient accumulators behind blocks for the given batch of
+// sample indices and return the summed batch loss. The RNG is consumed
+// identically (one Perm per epoch) whatever accumulate does, so the
+// reference sees the same batch order.
 func runEpochs(rng *rand.Rand, nSamples int, cfg *TrainConfig, blocks []paramBlock, accumulate func(batch []int) float64) float64 {
 	opt := newOptimizer(cfg, blocks)
 	var lastLoss float64
@@ -226,19 +220,6 @@ func newGradients(n *Network) *gradients {
 	return g
 }
 
-func (g *gradients) zero() {
-	for i := range g.dW {
-		r, c := g.dW[i].Dims()
-		for ri := 0; ri < r; ri++ {
-			row := g.dW[i].RawRow(ri)
-			for ci := 0; ci < c; ci++ {
-				row[ci] = 0
-			}
-		}
-		g.dB[i].Fill(0)
-	}
-}
-
 // paramBlocks pairs every parameter span of the network with its gradient
 // accumulator, in layer order: the rows of W, then B.
 func (n *Network) paramBlocks(g *gradients) []paramBlock {
@@ -252,56 +233,13 @@ func (n *Network) paramBlocks(g *gradients) []paramBlock {
 	return blocks
 }
 
-// accumulate runs one forward/backward pass for (x, label), adds the
-// parameter gradients into g, and returns the sample's cross-entropy loss.
-// This is the per-sample reference the batched path must match bit for bit.
-func (n *Network) accumulate(g *gradients, x mat.Vec, label int) float64 {
-	st := n.forward(x)
-	last := len(n.layers) - 1
-	probs := Softmax(st.z[last])
-	loss := CrossEntropy(probs, label)
-
-	// delta = dL/dz for the softmax + cross-entropy head: p - onehot(label).
-	delta := probs.Clone()
-	delta[label] -= 1
-
-	for i := last; i >= 0; i-- {
-		// dW_i += delta * a_i^T ; dB_i += delta.
-		ai := st.a[i]
-		dw := g.dW[i]
-		for r, dr := range delta {
-			if dr == 0 {
-				continue
-			}
-			row := dw.RawRow(r)
-			for c, av := range ai {
-				row[c] = math.FMA(dr, av, row[c])
-			}
-		}
-		g.dB[i].AddInPlace(delta)
-		if i == 0 {
-			break
-		}
-		// Propagate through W_i and the (leaky) ReLU of layer i-1.
-		delta = n.layers[i].W.MulVecT(delta)
-		z := st.z[i-1]
-		for j := range delta {
-			if z[j] <= 0 {
-				delta[j] *= n.leak
-			}
-		}
-	}
-	return loss
-}
-
 // Train runs mini-batch training over (xs, labels) and returns the mean
 // loss of the final epoch. The shuffle order is drawn from rng, so training
-// is reproducible given the seed. By default the whole mini-batch flows
-// through the network as matrices — one GEMM per layer forward, one
-// transpose-A GEMM per layer for the weight gradients, one GEMM per layer
-// for delta propagation (see train_batch.go) — producing weights
-// bit-identical to the per-sample reference loop (cfg.PerSample) at a
-// fraction of the wall-clock.
+// is reproducible given the seed. The whole mini-batch flows through the
+// network as matrices — one GEMM per layer forward, one transpose-A GEMM
+// per layer for the weight gradients, one GEMM per layer for delta
+// propagation (see train_batch.go) — producing weights bit-identical to
+// accumulating the gradients one sample at a time.
 func (n *Network) Train(rng *rand.Rand, xs []mat.Vec, labels []int, cfg TrainConfig) (float64, error) {
 	if err := checkTrainingSet(xs, labels, n.Classes()); err != nil {
 		return 0, err
@@ -309,26 +247,13 @@ func (n *Network) Train(rng *rand.Rand, xs []mat.Vec, labels []int, cfg TrainCon
 	cfg.setDefaults()
 	grads := newGradients(n)
 	blocks := n.paramBlocks(grads)
-	var accumulate func(batch []int) float64
-	if cfg.PerSample {
-		accumulate = func(batch []int) float64 {
-			grads.zero()
-			var loss float64
-			for _, idx := range batch {
-				loss += n.accumulate(grads, xs[idx], labels[idx])
-			}
-			return loss
-		}
-	} else {
-		// The batched path overwrites every accumulator (transpose-A GEMM
-		// for dW, column sums for dB), so grads needs no per-batch zeroing
-		// and the scratch is reused across batches and epochs.
-		s := newNetScratch(n, batchCap(cfg.BatchSize, len(xs)))
-		accumulate = func(batch []int) float64 {
-			return n.accumulateBatch(s, grads, xs, labels, batch)
-		}
-	}
-	return runEpochs(rng, len(xs), &cfg, blocks, accumulate), nil
+	// accumulateBatch overwrites every accumulator (transpose-A GEMM for
+	// dW, column sums for dB), so grads needs no per-batch zeroing and the
+	// scratch is reused across batches and epochs.
+	s := newNetScratch(n, batchCap(cfg.BatchSize, len(xs)))
+	return runEpochs(rng, len(xs), &cfg, blocks, func(batch []int) float64 {
+		return n.accumulateBatch(s, grads, xs, labels, batch)
+	}), nil
 }
 
 // Loss returns the mean cross-entropy of the network over (xs, labels).

@@ -4,16 +4,16 @@ import (
 	"repro/internal/mat"
 )
 
-// This file holds the batched training fast path: one mini-batch flows
-// through the network as matrices, with one GEMM per layer forward
-// (X · Wᵀ), one transpose-A GEMM per layer for the weight gradients
-// (dW = deltaᵀ · activations), and one GEMM per layer for delta
-// propagation (delta · W). Every accumulator still sums its terms in the
-// same ascending order the per-sample reference loop uses — samples within
-// a batch ascending, the k dimension of every GEMM ascending — so batched
-// training produces bit-identical weights (pinned by the Train parity
-// tests). All matrices live in pooled scratch sized once per Train call:
-// a steady-state training step allocates nothing, and the per-batch views
+// This file holds the training step: one mini-batch flows through the
+// network as matrices, with one GEMM per layer forward (X · Wᵀ, bias and
+// activation fused into its epilogue), one transpose-A GEMM per layer for
+// the weight gradients (dW = deltaᵀ · activations), and one GEMM per layer
+// for delta propagation (delta · W). Every accumulator still sums its terms
+// in the order a per-sample loop would — samples within a batch ascending,
+// the k dimension of every GEMM ascending — so training produces weights
+// bit-identical to the per-sample reference the Train parity tests keep.
+// All matrices live in pooled scratch sized once per Train call: a
+// steady-state training step allocates nothing, and the per-batch views
 // are rebuilt only when the batch size changes (the remainder batch).
 
 // netScratch pools the per-batch matrices of the batched Network step.
@@ -22,21 +22,19 @@ type netScratch struct {
 
 	// Backing matrices allocated at full batch capacity.
 	x     *mat.Dense   // batch inputs, B×d
-	z     []*mat.Dense // per-layer pre-activations, B×out
-	a     []*mat.Dense // per-hidden-layer post-activations, B×out (unfused only)
+	z     []*mat.Dense // per-layer outputs (post-activation for hidden layers), B×out
 	delta []*mat.Dense // per-layer deltas, B×out
 
-	// Fused-path state: one reusable epilogue per layer (so the hot loop
-	// passes &epis[li] without allocating) and one (z > 0) mask per hidden
-	// layer, captured by the epilogue post-bias and consumed by the backward
-	// delta scaling in place of the overwritten pre-activations.
+	// One reusable epilogue per layer (so the hot loop passes &epis[li]
+	// without allocating) and one (z > 0) mask per hidden layer, captured
+	// by the epilogue post-bias and consumed by the backward delta scaling
+	// in place of the overwritten pre-activations.
 	epis []mat.Epilogue
 	mask [][]bool // capacity rows·out per hidden layer
 
 	// RowsView(cur) of the backing matrices.
 	vx     *mat.Dense
 	vz     []*mat.Dense
-	va     []*mat.Dense
 	vdelta []*mat.Dense
 	vmask  [][]bool // mask[:cur·out] per hidden layer
 }
@@ -47,12 +45,10 @@ func newNetScratch(n *Network, rows int) *netScratch {
 		cur:    -1,
 		x:      mat.NewDense(rows, n.InputDim()),
 		z:      make([]*mat.Dense, nl),
-		a:      make([]*mat.Dense, nl-1),
 		delta:  make([]*mat.Dense, nl),
 		epis:   make([]mat.Epilogue, nl),
 		mask:   make([][]bool, nl-1),
 		vz:     make([]*mat.Dense, nl),
-		va:     make([]*mat.Dense, nl-1),
 		vdelta: make([]*mat.Dense, nl),
 		vmask:  make([][]bool, nl-1),
 	}
@@ -60,7 +56,6 @@ func newNetScratch(n *Network, rows int) *netScratch {
 		s.z[i] = mat.NewDense(rows, l.Out())
 		s.delta[i] = mat.NewDense(rows, l.Out())
 		if i < nl-1 {
-			s.a[i] = mat.NewDense(rows, l.Out())
 			s.mask[i] = make([]bool, rows*l.Out())
 		}
 	}
@@ -80,14 +75,13 @@ func (s *netScratch) prepare(b int) {
 		s.vz[i] = s.z[i].RowsView(b)
 		s.vdelta[i] = s.delta[i].RowsView(b)
 	}
-	for i := range s.a {
-		s.va[i] = s.a[i].RowsView(b)
-		s.vmask[i] = s.mask[i][:b*s.a[i].Cols()]
+	for i := range s.mask {
+		s.vmask[i] = s.mask[i][:b*s.z[i].Cols()]
 	}
 }
 
 // colSumsInto overwrites dst with the column sums of m, accumulating rows
-// in ascending order — the order the per-sample loop adds bias gradients.
+// in ascending order — the order a per-sample loop adds bias gradients.
 func colSumsInto(m *mat.Dense, dst mat.Vec) {
 	dst.Fill(0)
 	for i := 0; i < m.Rows(); i++ {
@@ -98,59 +92,33 @@ func colSumsInto(m *mat.Dense, dst mat.Vec) {
 // accumulateBatch runs one forward/backward pass for a whole mini-batch as
 // matrices, overwrites g with the batch-summed parameter gradients, and
 // returns the summed cross-entropy loss of the batch. It is bit-identical
-// to running accumulate over the batch in order: each GEMM keeps one
-// ascending-k accumulator per output element, and the shared k dimension
-// is exactly the dimension the per-sample loop iterates sequentially.
+// to accumulating the samples one at a time in batch order: each GEMM keeps
+// one ascending-k accumulator per output element, and the shared k
+// dimension is exactly the dimension a per-sample loop iterates
+// sequentially.
 func (n *Network) accumulateBatch(s *netScratch, g *gradients, xs []mat.Vec, labels []int, batch []int) float64 {
 	b := len(batch)
 	s.prepare(b)
 	last := len(n.layers) - 1
-	// Sampled once so forward and backward agree even if a test flips the
-	// toggle mid-epoch.
-	fused := fusedForward.Load()
 	for i, idx := range batch {
 		s.vx.SetRow(i, xs[idx])
 	}
 
-	// Forward. Unfused keeps per-layer pre-activations (z) for the backward
-	// activation masks and post-activations (a) for the weight gradients.
-	// Fused activates z in place inside the GEMM epilogue and captures the
-	// post-bias (z > 0) mask instead: for every non-NaN value, !mask is
-	// exactly the reference's zv <= 0 test (including ±0), so the backward
-	// pass below scales the same deltas by the same leak either way.
+	// Forward. The GEMM epilogue activates z in place and captures the
+	// post-bias (z > 0) mask: for every non-NaN value, !mask is exactly the
+	// scalar backprop's z <= 0 test (including ±0), so the backward pass
+	// below scales the same deltas by the same leak.
 	cur := s.vx
 	for li, l := range n.layers {
 		z := s.vz[li]
-		if fused {
-			epi := &s.epis[li]
-			if li < last {
-				n.hiddenEpilogue(epi, l.B, s.vmask[li])
-			} else {
-				*epi = mat.Epilogue{Bias: l.B}
-			}
-			cur.MulBTIntoEpilogue(l.W, z, epi)
-			if li < last {
-				cur = z // holds the post-activation in place
-			}
-			continue
-		}
-		cur.MulBTInto(l.W, z)
-		addBiasRows(z, l.B)
+		epi := &s.epis[li]
 		if li < last {
-			a := s.va[li]
-			leak := n.leak
-			for r := 0; r < b; r++ {
-				zrow, arow := z.RawRow(r), a.RawRow(r)
-				for j, v := range zrow {
-					if v > 0 {
-						arow[j] = v
-					} else {
-						arow[j] = leak * v
-					}
-				}
-			}
-			cur = a
+			n.hiddenEpilogue(epi, l.B, s.vmask[li])
+		} else {
+			*epi = mat.Epilogue{Bias: l.B}
 		}
+		cur.MulBTIntoEpilogue(l.W, z, epi)
+		cur = z // holds the post-activation in place
 	}
 
 	// Softmax + cross-entropy head: delta = p - onehot(label), one row per
@@ -171,11 +139,7 @@ func (n *Network) accumulateBatch(s *netScratch, g *gradients, xs []mat.Vec, lab
 		di := s.vdelta[i]
 		acts := s.vx
 		if i > 0 {
-			if fused {
-				acts = s.vz[i-1] // activated in place by the forward epilogue
-			} else {
-				acts = s.va[i-1]
-			}
+			acts = s.vz[i-1] // activated in place by the forward epilogue
 		}
 		di.MulATInto(acts, g.dW[i])
 		colSumsInto(di, g.dB[i])
@@ -183,24 +147,12 @@ func (n *Network) accumulateBatch(s *netScratch, g *gradients, xs []mat.Vec, lab
 			dprev := s.vdelta[i-1]
 			di.MulInto(n.layers[i].W, dprev)
 			leak := n.leak
-			if fused {
-				w := dprev.Cols()
-				mk := s.vmask[i-1]
-				for r := 0; r < b; r++ {
-					drow := dprev.RawRow(r)
-					for j, on := range mk[r*w : r*w+w] {
-						if !on {
-							drow[j] *= leak
-						}
-					}
-				}
-				continue
-			}
-			zprev := s.vz[i-1]
+			w := dprev.Cols()
+			mk := s.vmask[i-1]
 			for r := 0; r < b; r++ {
-				zrow, drow := zprev.RawRow(r), dprev.RawRow(r)
-				for j, zv := range zrow {
-					if zv <= 0 {
+				drow := dprev.RawRow(r)
+				for j, on := range mk[r*w : r*w+w] {
+					if !on {
 						drow[j] *= leak
 					}
 				}
@@ -225,8 +177,8 @@ type maxoutScratch struct {
 
 	winners [][][]int // winners[l][i][j]: winning piece of sample i, unit j
 
-	// Reusable bias-only epilogue for the fused piece/read-out GEMMs (the
-	// max fold is the nonlinearity, so the epilogue activation is identity).
+	// Reusable bias-only epilogue for the piece/read-out GEMMs (the max
+	// fold is the nonlinearity, so the epilogue activation is identity).
 	epi mat.Epilogue
 
 	vx      *mat.Dense
@@ -302,11 +254,10 @@ func (s *maxoutScratch) prepare(b int) {
 // the ascending-k accumulator chains unchanged), so the piece's weight
 // gradient is one transpose-A GEMM and its contribution to the next delta
 // is one GEMM, summed piece-ascending exactly like the per-sample
-// reference.
+// reference the Train parity tests keep.
 func (n *MaxoutNetwork) accumulateBatch(s *maxoutScratch, g *maxoutGradients, xs []mat.Vec, labels []int, batch []int) float64 {
 	b := len(batch)
 	s.prepare(b)
-	fused := fusedForward.Load()
 	for i, idx := range batch {
 		s.vx.SetRow(i, xs[idx])
 	}
@@ -317,13 +268,8 @@ func (n *MaxoutNetwork) accumulateBatch(s *maxoutScratch, g *maxoutGradients, xs
 		h := s.vacts[li]
 		zp := s.vpieceZ[li]
 		for p, piece := range l.Pieces {
-			if fused {
-				s.epi = mat.Epilogue{Bias: piece.B}
-				cur.MulBTIntoEpilogue(piece.W, zp, &s.epi)
-			} else {
-				cur.MulBTInto(piece.W, zp)
-				addBiasRows(zp, piece.B)
-			}
+			s.epi = mat.Epilogue{Bias: piece.B}
+			cur.MulBTIntoEpilogue(piece.W, zp, &s.epi)
 			if p == 0 {
 				for i := 0; i < b; i++ {
 					copy(h.RawRow(i), zp.RawRow(i))
@@ -347,13 +293,8 @@ func (n *MaxoutNetwork) accumulateBatch(s *maxoutScratch, g *maxoutGradients, xs
 		}
 		cur = h
 	}
-	if fused {
-		s.epi = mat.Epilogue{Bias: n.out.B}
-		cur.MulBTIntoEpilogue(n.out.W, s.voutZ, &s.epi)
-	} else {
-		cur.MulBTInto(n.out.W, s.voutZ)
-		addBiasRows(s.voutZ, n.out.B)
-	}
+	s.epi = mat.Epilogue{Bias: n.out.B}
+	cur.MulBTIntoEpilogue(n.out.W, s.voutZ, &s.epi)
 
 	// Softmax + cross-entropy head.
 	var loss float64

@@ -8,11 +8,12 @@ import (
 	"repro/internal/mat"
 )
 
-// The batched GEMM training path must produce bit-identical weights to the
-// per-sample reference loop: same seed, same batch order, same optimizer
-// state, every gradient accumulated in the same ascending order. These
-// tests pin that contract across both network families and both
-// optimizers, including remainder batches and weight decay.
+// Train must produce bit-identical weights to the per-sample reference
+// (trainPerSample): same seed, same batch order, same optimizer state,
+// every gradient accumulated in the same ascending order. These tests pin
+// that contract across both network families, both optimizers and every
+// kernel tier the machine can run, including remainder batches and weight
+// decay.
 
 // trainParityConfigs is the optimizer/config battery shared by the parity
 // tests. BatchSize 16 over 56 samples forces a remainder batch of 8.
@@ -56,22 +57,46 @@ func bitEqualDense(t *testing.T, label string, got, want *mat.Dense) {
 }
 
 func TestTrainBatchedMatchesPerSampleNetwork(t *testing.T) {
-	xs, ys := parityData(200)
+	checkTrainParityNetwork(t, 200, 201)
+}
+
+func TestTrainBatchedMatchesPerSampleMaxout(t *testing.T) {
+	checkTrainParityMaxout(t, 210, 211)
+}
+
+// The AllTiers variants repeat the battery on fresh seeds under every kernel
+// tier the machine can run (subtests scalar/avx2/avx512): the batched
+// forward's epilogues, the captured masks and the backward delta scaling
+// must agree with the per-sample reference on each tier.
+
+func TestTrainBatchedMatchesPerSampleNetworkAllTiers(t *testing.T) {
+	forEachKernelTier(t, func(t *testing.T, _ mat.KernelTier) {
+		checkTrainParityNetwork(t, 320, 321)
+	})
+}
+
+func TestTrainBatchedMatchesPerSampleMaxoutAllTiers(t *testing.T) {
+	forEachKernelTier(t, func(t *testing.T, _ mat.KernelTier) {
+		checkTrainParityMaxout(t, 330, 331)
+	})
+}
+
+// checkTrainParityNetwork trains a ReLU and a leaky network with every
+// trainParityConfigs entry, once through trainPerSample and once through
+// Train, and demands bit-identical losses and weights.
+func checkTrainParityNetwork(t *testing.T, dataSeed, netSeed int64) {
+	t.Helper()
+	xs, ys := parityData(dataSeed)
 	for _, leak := range []float64{0, 0.1} {
 		for name, cfg := range trainParityConfigs() {
 			build := func() (*Network, *rand.Rand) {
-				rng := rand.New(rand.NewSource(201))
+				rng := rand.New(rand.NewSource(netSeed))
 				return New(rng, 2, 9, 7, 2).SetLeak(leak), rng
 			}
 			ref, refRNG := build()
 			bat, batRNG := build()
 
-			refCfg := cfg
-			refCfg.PerSample = true
-			refLoss, err := ref.Train(refRNG, xs, ys, refCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			refLoss := trainPerSample(ref, refRNG, xs, ys, cfg)
 			batLoss, err := bat.Train(batRNG, xs, ys, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -88,22 +113,19 @@ func TestTrainBatchedMatchesPerSampleNetwork(t *testing.T) {
 	}
 }
 
-func TestTrainBatchedMatchesPerSampleMaxout(t *testing.T) {
-	xs, ys := parityData(210)
+// checkTrainParityMaxout is checkTrainParityNetwork for a MaxOut network.
+func checkTrainParityMaxout(t *testing.T, dataSeed, netSeed int64) {
+	t.Helper()
+	xs, ys := parityData(dataSeed)
 	for name, cfg := range trainParityConfigs() {
 		build := func() (*MaxoutNetwork, *rand.Rand) {
-			rng := rand.New(rand.NewSource(211))
+			rng := rand.New(rand.NewSource(netSeed))
 			return NewMaxout(rng, 3, 2, 8, 6, 2), rng
 		}
 		ref, refRNG := build()
 		bat, batRNG := build()
 
-		refCfg := cfg
-		refCfg.PerSample = true
-		refLoss, err := ref.Train(refRNG, xs, ys, refCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		refLoss := trainPerSample(ref, refRNG, xs, ys, cfg)
 		batLoss, err := bat.Train(batRNG, xs, ys, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -134,9 +156,7 @@ func TestTrainBatchedSingleLayerNetwork(t *testing.T) {
 	}
 	ref, refRNG := build()
 	bat, batRNG := build()
-	if _, err := ref.Train(refRNG, xs, ys, TrainConfig{Epochs: 3, PerSample: true}); err != nil {
-		t.Fatal(err)
-	}
+	trainPerSample(ref, refRNG, xs, ys, TrainConfig{Epochs: 3})
 	if _, err := bat.Train(batRNG, xs, ys, TrainConfig{Epochs: 3}); err != nil {
 		t.Fatal(err)
 	}

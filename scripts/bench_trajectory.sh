@@ -46,9 +46,9 @@ go test -run='^$' -bench='BenchmarkWireBatch' -benchtime=200x ./internal/wire/ >
 echo "== PR 8 set: hedged dispatch tail latency (spiky remote, p99 metric)"
 go test -run='^$' -bench='BenchmarkShard_Tail_(Unhedged|Hedged)' -benchtime=20x ./internal/api/ >"$tmp/hedge.txt"
 
-echo "== PR 9 set: fused GEMM epilogues, best tier vs unfused PR-3 forward"
+echo "== PR 9 set: fused GEMM epilogues and forward at the best tier"
 go test -run='^$' -bench='BenchmarkMulEpilogue' -benchtime=10x ./internal/mat/ >"$tmp/epilogue.txt"
-go test -run='^$' -bench='BenchmarkForward(Fused|UnfusedPR3_)256' -benchtime=20x ./internal/nn/ >"$tmp/fused.txt"
+go test -run='^$' -bench='BenchmarkForwardFused256' -benchtime=20x ./internal/nn/ >"$tmp/fused.txt"
 
 # The warm-lookup path runs in microseconds, so like the wire set it gets a
 # deeper iteration count: at 20x the first-iteration page-cache effects
