@@ -45,7 +45,7 @@ func main() {
 	if *out == "" {
 		log.Fatal("-out is required")
 	}
-	if err := checkFlags(*modelKind, *pieces, *testFrac); err != nil {
+	if err := checkFlags(*modelKind, *pieces, *testFrac, *size, *perClass); err != nil {
 		log.Fatal(err)
 	}
 
@@ -133,11 +133,19 @@ func main() {
 }
 
 // checkFlags rejects flag values the training run cannot use, before any
-// data is built: a held-out fraction outside [0, 1) and a MaxOut network
-// with fewer than two pieces per unit.
-func checkFlags(model string, pieces int, testFrac float64) error {
+// data is built: a held-out fraction outside [0, 1), a MaxOut network with
+// fewer than two pieces per unit, and a non-positive synthetic image side
+// or per-class count (the dataset builder would silently replace either
+// with its default).
+func checkFlags(model string, pieces int, testFrac float64, size, perClass int) error {
 	if !(testFrac >= 0 && testFrac < 1) { // also rejects NaN
 		return fmt.Errorf("-test-frac %v out of range [0, 1)", testFrac)
+	}
+	if size <= 0 {
+		return fmt.Errorf("-size %d: the image side must be positive", size)
+	}
+	if perClass <= 0 {
+		return fmt.Errorf("-per-class %d: the per-class count must be positive", perClass)
 	}
 	if strings.ToLower(model) == "maxout" && pieces < 2 {
 		return fmt.Errorf("-pieces %d: maxout needs at least 2 pieces per unit", pieces)

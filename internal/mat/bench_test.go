@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -203,6 +204,58 @@ func BenchmarkMulEpilogueSerial_256x784x256(b *testing.B) {
 		x.MulBTIntoEpilogue(w, dst, epi)
 	}
 	b.ReportMetric(2*256*784*256*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// BenchmarkMulBTIntoEpilogueFanOut is the table behind fanOut's break-even
+// (DESIGN.md §14): the batched forward's first-layer GEMM (rows×k inputs
+// times a 256×k weight, ReLU epilogue) at the chunk sizes the serving path
+// sends, run on one goroutine (workers=1) or split into two row spans
+// whatever its size (workers=2). With load=idle one product runs at a
+// time; with load=busy GOMAXPROCS goroutines run products side by side,
+// as two workers' chunks of one probe round do, and ns/op is wall time
+// over all of them.
+func BenchmarkMulBTIntoEpilogueFanOut(b *testing.B) {
+	const n = 256
+	for _, k := range []int{64, 784} {
+		for _, rows := range []int{16, 33, 66, 128, 197, 256} {
+			rng := rand.New(rand.NewSource(13))
+			x, w := randDense(rng, rows, k), randDense(rng, n, k)
+			bias := make(Vec, n)
+			for i := range bias {
+				bias[i] = rng.NormFloat64()
+			}
+			epi := &Epilogue{Bias: bias, Act: ActReLU}
+			run := func(workers int, dst *Dense) {
+				if workers == 1 {
+					gemmBT(dst, x.lhs(), w, 0, rows, epi, false)
+					return
+				}
+				parallelRows(rows, workers, func(lo, hi int) { gemmBT(dst, x.lhs(), w, lo, hi, epi, false) })
+			}
+			for _, load := range []string{"idle", "busy"} {
+				for _, workers := range []int{1, 2} {
+					b.Run(fmt.Sprintf("k=%d/rows=%d/load=%s/workers=%d", k, rows, load, workers), func(b *testing.B) {
+						if load == "idle" {
+							dst := NewDense(rows, n)
+							run(workers, dst) // warm the pack scratch
+							b.ResetTimer()
+							for i := 0; i < b.N; i++ {
+								run(workers, dst)
+							}
+						} else {
+							b.RunParallel(func(pb *testing.PB) {
+								dst := NewDense(rows, n)
+								for pb.Next() {
+									run(workers, dst)
+								}
+							})
+						}
+						b.ReportMetric(2*float64(rows*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+					})
+				}
+			}
+		}
+	}
 }
 
 // BenchmarkMulNaive_256x784x256 is the pre-PR-3 triple loop, kept as the

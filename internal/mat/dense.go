@@ -149,6 +149,27 @@ func (m *Dense) RowsFrom(i int) *Dense {
 	return &Dense{rows: m.rows - i, cols: m.cols, data: m.data[i*m.cols:]}
 }
 
+// Reuse makes m an r-by-c matrix and returns it. It keeps m's storage
+// when that holds r*c elements and allocates exactly r*c otherwise. The
+// elements are not zeroed: kept storage still holds what was written
+// there before, so a caller must write every element before reading it.
+// It is how recycled scratch serves batches of any size with no new
+// allocation once it has grown to fit them.
+func (m *Dense) Reuse(r, c int) *Dense {
+	if r < 0 || c < 0 {
+		panic(fmt.Sprintf("mat: Reuse negative dimension %dx%d", r, c))
+	}
+	if cap(m.data) < r*c {
+		m.data = make([]float64, r*c)
+	}
+	m.rows, m.cols, m.data = r, c, m.data[:r*c]
+	return m
+}
+
+// Cap returns the number of elements m's storage holds, which Reuse can
+// take without allocating.
+func (m *Dense) Cap() int { return cap(m.data) }
+
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	out := NewDense(m.rows, m.cols)

@@ -54,10 +54,10 @@ func TestFusedContractGemmAllTiers(t *testing.T) {
 	b := fusedOperand(7, 1, fusedB)
 	forEachTier(t, func(t *testing.T, tier KernelTier) {
 		dst := NewDense(29, 7)
-		gemmBT(dst, a, b, 0, 29, nil, false)
+		gemmBT(dst, a.lhs(), b, 0, 29, nil, false)
 		wantBits(t, dst.data, -0x1p-60, tier.String()+" gemmBT")
 		dst = NewDense(29, 7)
-		gemmBT(dst, a, b, 0, 29, nil, true)
+		gemmBT(dst, a.lhs(), b, 0, 29, nil, true)
 		wantBits(t, dst.data, 0x1p-60, tier.String()+" gemmBT sub")
 		got := fusedOperand(15, 1, fusedB).MulVecInto(a.RawRow(0), make(Vec, 15))
 		wantBits(t, got, -0x1p-60, tier.String()+" MulVecInto")

@@ -85,9 +85,27 @@ func workers() int {
 	return n
 }
 
-// parallelFlopCutoff is the approximate multiply-add count below which
-// spawning goroutines costs more than it buys.
-const parallelFlopCutoff = 1 << 18
+// parallelMACCutoff is the multiply-add count below which a product runs
+// on one goroutine whatever its shape.
+const parallelMACCutoff = 1 << 18
+
+// minSpanRows is the fewest output rows fanOut gives one goroutine: two of
+// the AVX-512 rung's 16-row tiles. A thinner span breaks a chunk's tiles
+// into 8-, 4- and single-row remainders and spends more on the hand-off
+// than its share of the work saves (BenchmarkMulBTIntoEpilogueFanOut,
+// DESIGN.md §14).
+const minSpanRows = 32
+
+// fanOut returns how many goroutines a product of macs multiply-adds over
+// rows independent output rows should be split across: one below
+// parallelMACCutoff, else as many as workers() allows with every span at
+// least minSpanRows rows. A worker count never changes a bit of the result.
+func fanOut(rows, macs int) int {
+	if macs < parallelMACCutoff {
+		return 1
+	}
+	return max(1, min(workers(), rows/minSpanRows))
+}
 
 // scratch pools the packed-row buffers gemmBT needs, so composition chains
 // that multiply in a loop stop hammering the allocator.
@@ -124,6 +142,28 @@ func getScratchDense(r, c int) *Dense {
 
 func putScratchDense(d *Dense) { denseScratchPool.Put(d) }
 
+// lhs is gemmBT's left operand: rows of k floats each, taken either from
+// one row-major array or, for a batch handed over as separate vectors,
+// from the vectors themselves, so that a batched forward packs its tiles
+// straight from the input rows instead of stacking them into a matrix
+// first (MulRowsBTIntoEpilogue).
+type lhs struct {
+	data []float64 // the rows, row-major, when rows is nil
+	rows []Vec
+	k    int
+}
+
+// lhs returns m's rows as a left operand.
+func (m *Dense) lhs() lhs { return lhs{data: m.data, k: m.cols} }
+
+// row returns row i, k floats long.
+func (a lhs) row(i int) []float64 {
+	if a.rows != nil {
+		return a.rows[i][:a.k]
+	}
+	return a.data[i*a.k : i*a.k+a.k]
+}
+
 // MulVecInto computes dst = m * x without allocating; dst must have length
 // m.Rows() and must not alias x or m. It returns dst. Each element is one
 // ascending-k dot product, bit-identical to the scalar loop. The product
@@ -138,9 +178,8 @@ func (m *Dense) MulVecInto(x, dst Vec) Vec {
 	if len(dst) != m.rows {
 		panic(fmt.Sprintf("mat: MulVecInto dst length %d != rows %d", len(dst), m.rows))
 	}
-	a := Dense{rows: 1, cols: m.cols, data: x}
 	d := Dense{rows: 1, cols: m.rows, data: dst}
-	gemmBT(&d, &a, m, 0, 1, nil, false)
+	gemmBT(&d, lhs{data: x, k: m.cols}, m, 0, 1, nil, false)
 	return dst
 }
 
@@ -178,11 +217,10 @@ func (m *Dense) MulInto(b, dst *Dense) *Dense {
 			bt.data[j*bt.cols+i] = v
 		}
 	}
-	flops := m.rows * m.cols * b.cols
-	if w := workers(); w > 1 && flops >= parallelFlopCutoff && m.rows > 1 {
-		parallelRows(m.rows, w, func(lo, hi int) { gemmBT(dst, m, bt, lo, hi, nil, false) })
+	if w := fanOut(m.rows, m.rows*m.cols*b.cols); w > 1 {
+		parallelRows(m.rows, w, func(lo, hi int) { gemmBT(dst, m.lhs(), bt, lo, hi, nil, false) })
 	} else {
-		gemmBT(dst, m, bt, 0, m.rows, nil, false)
+		gemmBT(dst, m.lhs(), bt, 0, m.rows, nil, false)
 	}
 	putScratchDense(bt)
 	return dst
@@ -229,11 +267,10 @@ func (m *Dense) MulATInto(b, dst *Dense) *Dense {
 			bt.data[j*bt.cols+i] = v
 		}
 	}
-	flops := m.cols * m.rows * b.cols
-	if w := workers(); w > 1 && flops >= parallelFlopCutoff && at.rows > 1 {
-		parallelRows(at.rows, w, func(lo, hi int) { gemmBT(dst, at, bt, lo, hi, nil, false) })
+	if w := fanOut(at.rows, m.cols*m.rows*b.cols); w > 1 {
+		parallelRows(at.rows, w, func(lo, hi int) { gemmBT(dst, at.lhs(), bt, lo, hi, nil, false) })
 	} else {
-		gemmBT(dst, at, bt, 0, at.rows, nil, false)
+		gemmBT(dst, at.lhs(), bt, 0, at.rows, nil, false)
 	}
 	putScratchDense(bt)
 	putScratchDense(at)
@@ -294,8 +331,8 @@ func parallelRows(rows, w int, work func(lo, hi int)) {
 // pick up the row remainders of higher ones. Every schedule evaluates
 // every output element as one ascending-k chain of fused multiply-adds, so
 // the bits match on all of them.
-func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
-	k := a.cols
+func gemmBT(dst *Dense, a lhs, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
+	k := a.k
 	n := b.rows
 	i := i0
 	tier := ActiveKernelTier()
@@ -307,10 +344,7 @@ func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
 		i = gemmPacked(dst, a, b, i, i1, 4, epi, sub)
 	}
 	for ; i+4 <= i1; i += 4 {
-		a0 := a.data[(i+0)*k : (i+0)*k+k]
-		a1 := a.data[(i+1)*k : (i+1)*k+k]
-		a2 := a.data[(i+2)*k : (i+2)*k+k]
-		a3 := a.data[(i+3)*k : (i+3)*k+k]
+		a0, a1, a2, a3 := a.row(i), a.row(i+1), a.row(i+2), a.row(i+3)
 		d0 := dst.data[(i+0)*dst.cols : (i+0)*dst.cols+n]
 		d1 := dst.data[(i+1)*dst.cols : (i+1)*dst.cols+n]
 		d2 := dst.data[(i+2)*dst.cols : (i+2)*dst.cols+n]
@@ -365,7 +399,7 @@ func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
 		applyEpilogueRows(dst, epi, i, i+4)
 	}
 	for ; i < i1; i++ {
-		ar := a.data[i*k : i*k+k]
+		ar := a.row(i)
 		drow := dst.data[i*dst.cols : i*dst.cols+n]
 		j := 0
 		if tier >= TierAVX2 && k > 0 {
@@ -417,11 +451,11 @@ func gemmBT(dst, a, b *Dense, i0, i1 int, epi *Epilogue, sub bool) {
 // B rows repeats its last row in the kernel's unused slots, and those
 // lanes are dropped: each kept lane is the chain a full block computes, so
 // no column needs a scalar tail loop.
-func gemmPacked(dst, a, b *Dense, i, i1, rows int, epi *Epilogue, sub bool) int {
+func gemmPacked(dst *Dense, a lhs, b *Dense, i, i1, rows int, epi *Epilogue, sub bool) int {
 	if i+rows > i1 {
 		return i
 	}
-	k, n := a.cols, b.rows
+	k, n := a.k, b.rows
 	sp := getScratch(rows * k)
 	pack := (*sp)[:rows*k]
 	var out [64]float64
@@ -494,12 +528,12 @@ func store4(d []float64, j int, sub bool, v0, v1, v2, v3 float64) {
 // packFourRows interleaves rows i..i+3 of a feature-major: pack[4t+l] =
 // a[i+l][t], the layout the 4-row vector microkernel consumes with one load
 // per shared k step.
-func packFourRows(pack []float64, a *Dense, i int) {
-	k := a.cols
-	a0 := a.data[(i+0)*k : (i+0)*k+k]
-	a1 := a.data[(i+1)*k : (i+1)*k+k][:k]
-	a2 := a.data[(i+2)*k : (i+2)*k+k][:k]
-	a3 := a.data[(i+3)*k : (i+3)*k+k][:k]
+func packFourRows(pack []float64, a lhs, i int) {
+	k := a.k
+	a0 := a.row(i + 0)[:k]
+	a1 := a.row(i + 1)[:k]
+	a2 := a.row(i + 2)[:k]
+	a3 := a.row(i + 3)[:k]
 	for t, v := range a0 {
 		p := pack[4*t : 4*t+4 : 4*t+4]
 		p[0] = v
@@ -512,16 +546,16 @@ func packFourRows(pack []float64, a *Dense, i int) {
 // packEightRows interleaves rows i..i+7 feature-major: pack[8t+l] =
 // a[i+l][t], one 64-byte ZMM load per shared k step for the AVX-512
 // microkernel.
-func packEightRows(pack []float64, a *Dense, i int) {
-	k := a.cols
-	a0 := a.data[(i+0)*k : (i+0)*k+k]
-	a1 := a.data[(i+1)*k : (i+1)*k+k][:k]
-	a2 := a.data[(i+2)*k : (i+2)*k+k][:k]
-	a3 := a.data[(i+3)*k : (i+3)*k+k][:k]
-	a4 := a.data[(i+4)*k : (i+4)*k+k][:k]
-	a5 := a.data[(i+5)*k : (i+5)*k+k][:k]
-	a6 := a.data[(i+6)*k : (i+6)*k+k][:k]
-	a7 := a.data[(i+7)*k : (i+7)*k+k][:k]
+func packEightRows(pack []float64, a lhs, i int) {
+	k := a.k
+	a0 := a.row(i + 0)[:k]
+	a1 := a.row(i + 1)[:k]
+	a2 := a.row(i + 2)[:k]
+	a3 := a.row(i + 3)[:k]
+	a4 := a.row(i + 4)[:k]
+	a5 := a.row(i + 5)[:k]
+	a6 := a.row(i + 6)[:k]
+	a7 := a.row(i + 7)[:k]
 	for t, v := range a0 {
 		p := pack[8*t : 8*t+8 : 8*t+8]
 		p[0] = v
@@ -537,25 +571,24 @@ func packEightRows(pack []float64, a *Dense, i int) {
 
 // packSixteenRows interleaves rows i..i+15 feature-major: pack[16t+l] =
 // a[i+l][t], two ZMM loads per shared k step for dotPack16x4.
-func packSixteenRows(pack []float64, a *Dense, i int) {
-	k := a.cols
-	r := a.data[i*k : (i+16)*k]
-	a0 := r[0*k : 1*k]
-	a1 := r[1*k : 2*k][:k]
-	a2 := r[2*k : 3*k][:k]
-	a3 := r[3*k : 4*k][:k]
-	a4 := r[4*k : 5*k][:k]
-	a5 := r[5*k : 6*k][:k]
-	a6 := r[6*k : 7*k][:k]
-	a7 := r[7*k : 8*k][:k]
-	a8 := r[8*k : 9*k][:k]
-	a9 := r[9*k : 10*k][:k]
-	a10 := r[10*k : 11*k][:k]
-	a11 := r[11*k : 12*k][:k]
-	a12 := r[12*k : 13*k][:k]
-	a13 := r[13*k : 14*k][:k]
-	a14 := r[14*k : 15*k][:k]
-	a15 := r[15*k : 16*k][:k]
+func packSixteenRows(pack []float64, a lhs, i int) {
+	k := a.k
+	a0 := a.row(i + 0)[:k]
+	a1 := a.row(i + 1)[:k]
+	a2 := a.row(i + 2)[:k]
+	a3 := a.row(i + 3)[:k]
+	a4 := a.row(i + 4)[:k]
+	a5 := a.row(i + 5)[:k]
+	a6 := a.row(i + 6)[:k]
+	a7 := a.row(i + 7)[:k]
+	a8 := a.row(i + 8)[:k]
+	a9 := a.row(i + 9)[:k]
+	a10 := a.row(i + 10)[:k]
+	a11 := a.row(i + 11)[:k]
+	a12 := a.row(i + 12)[:k]
+	a13 := a.row(i + 13)[:k]
+	a14 := a.row(i + 14)[:k]
+	a15 := a.row(i + 15)[:k]
 	for t, v := range a0 {
 		p := pack[16*t : 16*t+16 : 16*t+16]
 		p[0] = v

@@ -139,16 +139,37 @@ func (m *Dense) MulBTIntoEpilogue(b, dst *Dense, epi *Epilogue) *Dense {
 	if m.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulBT %dx%d by (%dx%d)ᵀ", m.rows, m.cols, b.rows, b.cols))
 	}
-	if dst.rows != m.rows || dst.cols != b.rows {
-		panic(fmt.Sprintf("mat: MulBTIntoEpilogue dst %dx%d, want %dx%d", dst.rows, dst.cols, m.rows, b.rows))
-	}
 	checkNoAlias("MulBTIntoEpilogue", dst, m, b)
+	return mulBTIntoEpilogue(m.lhs(), m.rows, b, dst, epi)
+}
+
+// MulRowsBTIntoEpilogue is MulBTIntoEpilogue for a left operand given as
+// its rows: dst = X * bᵀ with row i of X being xs[i]. It reads the rows
+// where they are, packing its tiles straight from them, so a batch of
+// separate vectors needs no stacked copy; the bits are those of
+// MulBTIntoEpilogue on the stacked matrix. Every xs[i] must have length
+// b.Cols(), and none may alias dst, epi.Bias or epi.Mask. It returns dst.
+func MulRowsBTIntoEpilogue(xs []Vec, b, dst *Dense, epi *Epilogue) *Dense {
+	for i, x := range xs {
+		if len(x) != b.cols {
+			panic(fmt.Sprintf("mat: MulRowsBT row %d length %d by (%dx%d)ᵀ", i, len(x), b.rows, b.cols))
+		}
+	}
+	checkNoAlias("MulRowsBTIntoEpilogue", dst, b)
+	return mulBTIntoEpilogue(lhs{rows: xs, k: b.cols}, len(xs), b, dst, epi)
+}
+
+// mulBTIntoEpilogue is the shared body of MulBTIntoEpilogue and
+// MulRowsBTIntoEpilogue for a left operand of rows rows.
+func mulBTIntoEpilogue(a lhs, rows int, b, dst *Dense, epi *Epilogue) *Dense {
+	if dst.rows != rows || dst.cols != b.rows {
+		panic(fmt.Sprintf("mat: MulBTIntoEpilogue dst %dx%d, want %dx%d", dst.rows, dst.cols, rows, b.rows))
+	}
 	epi.check(dst)
-	flops := m.rows * m.cols * b.rows
-	if w := workers(); w > 1 && flops >= parallelFlopCutoff && m.rows > 1 {
-		parallelRows(m.rows, w, func(lo, hi int) { gemmBT(dst, m, b, lo, hi, epi, false) })
+	if w := fanOut(rows, rows*a.k*b.rows); w > 1 {
+		parallelRows(rows, w, func(lo, hi int) { gemmBT(dst, a, b, lo, hi, epi, false) })
 	} else {
-		gemmBT(dst, m, b, 0, m.rows, epi, false)
+		gemmBT(dst, a, b, 0, rows, epi, false)
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,6 +96,11 @@ func TestMulBTIntoEpilogueShapeFuzzAllTiers(t *testing.T) {
 							return
 						}
 						bitEqual(t, dst, wantCopy, "fused epilogue")
+						// The same product with the left operand given as
+						// its rows, into a dst of stale values.
+						rowsDst := randDense(rng, m, n)
+						MulRowsBTIntoEpilogue(rowsOf(a), b, rowsDst, epi)
+						bitEqual(t, rowsDst, wantCopy, "fused epilogue, rows operand")
 						if wantMask != nil {
 							for i := range wantMask {
 								if epi.Mask[i] != wantMask[i] {
@@ -138,6 +144,60 @@ func TestMulBTIntoEpilogueParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("mask[%d] differs between worker counts", i)
 		}
 	}
+}
+
+// rowsOf returns m's rows as separately allocated vectors, the shape of a
+// batch handed to MulRowsBTIntoEpilogue.
+func rowsOf(m *Dense) []Vec {
+	xs := make([]Vec, m.rows)
+	for i := range xs {
+		xs[i] = m.Row(i)
+	}
+	return xs
+}
+
+// TestMulRowsBTIntoEpilogueMatchesStacked pins the rows operand against
+// the stacked matrix on a shape that fans out, at one worker and at four:
+// same bits, same mask, on every tier.
+func TestMulRowsBTIntoEpilogueMatchesStacked(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tier KernelTier) {
+		rng := rand.New(rand.NewSource(35))
+		a := randDense(rng, 97, 64)
+		b := randDense(rng, 70, 64)
+		bias := make(Vec, 70)
+		for i := range bias {
+			bias[i] = rng.NormFloat64()
+		}
+		want := NewDense(97, 70)
+		wantEpi := &Epilogue{Bias: bias, Act: ActReLU, Mask: make([]bool, 97*70)}
+		a.MulBTIntoEpilogue(b, want, wantEpi)
+		for _, w := range []int{1, 4} {
+			prev := SetWorkers(w)
+			got := randDense(rng, 97, 70)
+			epi := &Epilogue{Bias: bias, Act: ActReLU, Mask: make([]bool, 97*70)}
+			MulRowsBTIntoEpilogue(rowsOf(a), b, got, epi)
+			SetWorkers(prev)
+			bitEqual(t, got, want, fmt.Sprintf("rows operand, workers=%d", w))
+			for i := range epi.Mask {
+				if epi.Mask[i] != wantEpi.Mask[i] {
+					t.Fatalf("workers=%d: mask[%d] differs from the stacked operand's", w, i)
+				}
+			}
+		}
+	})
+}
+
+// TestMulRowsBTIntoEpiloguePanicsOnShortRow pins that a row of the wrong
+// length is refused before any work.
+func TestMulRowsBTIntoEpiloguePanicsOnShortRow(t *testing.T) {
+	b := NewDense(3, 4)
+	dst := NewDense(2, 3)
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("no panic for a short row")
+		}
+	}()
+	MulRowsBTIntoEpilogue([]Vec{make(Vec, 4), make(Vec, 3)}, b, dst, nil)
 }
 
 // TestMulBTIntoEpilogueNilMatchesMulBTInto pins that a nil epilogue is

@@ -219,3 +219,56 @@ func TestMulIntoShapePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestFanOutRule pins the fan-out decisions the serving chunks and the LU
+// rely on (DESIGN.md §14): nothing below parallelMACCutoff or below two
+// minSpanRows-row spans fans out, and above both a product takes as many
+// goroutines as its rows fill, up to SetWorkers.
+func TestFanOutRule(t *testing.T) {
+	defer SetWorkers(SetWorkers(2))
+	for _, c := range []struct{ rows, macs, want int }{
+		{33, 33 * 784 * 256, 1},   // a d = 784 chunk of a 66-row batch
+		{33, 33 * 64 * 256, 1},    // a d = 64 probe-round chunk
+		{63, 63 * 784 * 256, 1},   // one row short of two spans
+		{64, 64 * 784 * 256, 2},   // a batch-784 chunk
+		{64, 64 * 100 * 10, 1},    // its read-out layer
+		{197, 197 * 784 * 256, 2}, // an interpret-784 chunk
+		{1000, parallelMACCutoff - 1, 1},
+		{1000, parallelMACCutoff, 2},
+	} {
+		if got := fanOut(c.rows, c.macs); got != c.want {
+			t.Errorf("fanOut(%d, %d) = %d, want %d", c.rows, c.macs, got, c.want)
+		}
+	}
+	SetWorkers(8)
+	if got := fanOut(100, 100*784*256); got != 3 {
+		t.Errorf("fanOut(100, …) at 8 workers = %d, want 3 (100/minSpanRows)", got)
+	}
+	SetWorkers(1)
+	if got := fanOut(1000, 1<<30); got != 1 {
+		t.Errorf("fanOut at 1 worker = %d, want 1", got)
+	}
+}
+
+// TestDenseReuse pins Reuse's storage contract: it keeps storage that
+// holds r*c elements, stale contents and all, and allocates otherwise.
+func TestDenseReuse(t *testing.T) {
+	m := NewDense(4, 5)
+	m.Set(0, 0, 7)
+	first := &m.data[0]
+	m.Reuse(2, 3)
+	if r, c := m.Dims(); r != 2 || c != 3 || m.Cap() != 20 || &m.data[0] != first {
+		t.Fatalf("Reuse(2, 3) = %dx%d cap %d, moved=%v; want 2x3 over the same 20 floats", r, c, m.Cap(), &m.data[0] != first)
+	}
+	if m.At(0, 0) != 7 {
+		t.Fatal("Reuse zeroed kept storage")
+	}
+	m.Reuse(5, 5)
+	if r, c := m.Dims(); r != 5 || c != 5 || m.Cap() != 25 {
+		t.Fatalf("Reuse(5, 5) = %dx%d cap %d, want 5x5 cap 25", r, c, m.Cap())
+	}
+	var z Dense
+	if z.Reuse(0, 3); z.Cap() != 0 {
+		t.Fatalf("Reuse(0, 3) of a zero Dense allocated %d", z.Cap())
+	}
+}

@@ -212,7 +212,7 @@ func TestGemmBTStoreModesAllTiers(t *testing.T) {
 		for _, c := range cases {
 			m, n := c.a.rows, c.b.rows
 			got := randDense(rng, m, n) // stale contents must be overwritten
-			gemmBT(got, c.a, c.b, 0, m, nil, false)
+			gemmBT(got, c.a.lhs(), c.b, 0, m, nil, false)
 			same(t, got, c.plain, "plain", c)
 
 			// The LU's view: rows of stride n+pad whose data stops right
@@ -222,13 +222,13 @@ func TestGemmBTStoreModesAllTiers(t *testing.T) {
 			if m > 0 {
 				end = (m-1)*(n+pad) + n
 			}
-			gemmBT(&Dense{rows: m, cols: n + pad, data: view.data[:end]}, c.a, c.b, 0, m, nil, true)
+			gemmBT(&Dense{rows: m, cols: n + pad, data: view.data[:end]}, c.a.lhs(), c.b, 0, m, nil, true)
 			same(t, view, c.subd, "subtract", c)
 
 			if c.epi != nil {
 				got := NewDense(m, n)
 				epi := &Epilogue{Bias: c.epi.Bias, Act: c.epi.Act, Leak: c.epi.Leak}
-				gemmBT(got, c.a, c.b, 0, m, epi, false)
+				gemmBT(got, c.a.lhs(), c.b, 0, m, epi, false)
 				same(t, got, c.epiWant, "epilogue", c)
 			}
 		}

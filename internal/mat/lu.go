@@ -233,12 +233,12 @@ func (f *LU) updateTrailing(k0, kb int) {
 	u12t := getScratchDense(mt, kb)
 	// The fan-outs are spelled out rather than shared through a helper so
 	// the serial path builds no closure and allocates nothing.
-	if w := workers(); w > 1 && kb*kb*mt/2 >= parallelFlopCutoff {
+	if w := fanOut(mt, kb*kb*mt/2); w > 1 {
 		parallelRows(mt, w, func(lo, hi int) { f.solveBlockRow(k0, kb, u12t, lo, hi) })
 	} else {
 		f.solveBlockRow(k0, kb, u12t, 0, mt)
 	}
-	if w := workers(); w > 1 && mt*mt*kb >= parallelFlopCutoff {
+	if w := fanOut(mt, mt*mt*kb); w > 1 {
 		parallelRows(mt, w, func(lo, hi int) { f.updateStrips(k0, kb, u12t, lo, hi) })
 	} else {
 		f.updateStrips(k0, kb, u12t, 0, mt)
@@ -285,10 +285,10 @@ func (f *LU) updateStrips(k0, kb int, u12t *Dense, lo, hi int) {
 		for i := s; i < e; i++ {
 			copy(l21.data[(i-s)*kb:(i-s+1)*kb], lu[(c0+i)*n+k0:(c0+i)*n+c0])
 		}
-		a := Dense{rows: e - s, cols: kb, data: l21.data[:(e-s)*kb]}
+		a := lhs{data: l21.data[:(e-s)*kb], k: kb}
 		// A22's strip rows as a view of stride n (see gemmBT).
 		d := Dense{rows: e - s, cols: n, data: lu[(c0+s)*n+c0:]}
-		gemmBT(&d, &a, u12t, 0, e-s, nil, true)
+		gemmBT(&d, a, u12t, 0, e-s, nil, true)
 	}
 	putScratchDense(l21)
 }

@@ -67,24 +67,6 @@ func SoftmaxInto(dst, z mat.Vec) mat.Vec {
 	return dst
 }
 
-// LogSoftmax returns log(softmax(z)) computed stably.
-func LogSoftmax(z mat.Vec) mat.Vec {
-	if len(z) == 0 {
-		return mat.Vec{}
-	}
-	m := z.Max()
-	var sum float64
-	for _, v := range z {
-		sum += math.Exp(v - m)
-	}
-	lse := m + math.Log(sum)
-	out := make(mat.Vec, len(z))
-	for i, v := range z {
-		out[i] = v - lse
-	}
-	return out
-}
-
 // CrossEntropy returns -log(p[label]) with a floor to avoid -Inf on
 // saturated probabilities.
 func CrossEntropy(p mat.Vec, label int) float64 {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -136,6 +137,26 @@ func BenchmarkForwardFused256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = n.LogitsBatch(xs)
+	}
+}
+
+// BenchmarkPredictBatchChunk times one served chunk — what a worker's
+// forward runs per request — at the chunk shapes of the end-to-end
+// workloads on the paper's image architecture: a 33-row half of a d = 64
+// probe round, a 64-row quarter of a 256-row batch at d = 784, and a
+// 197-row quarter of a d = 784 probe round.
+func BenchmarkPredictBatchChunk(b *testing.B) {
+	for _, c := range []struct{ d, rows int }{{64, 33}, {784, 64}, {784, 197}} {
+		b.Run(fmt.Sprintf("d=%d/rows=%d", c.d, c.rows), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			n := New(rng, c.d, 256, 128, 100, 10)
+			xs := randBatch(rng, c.rows, c.d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = n.PredictBatch(xs)
+			}
+		})
 	}
 }
 

@@ -49,17 +49,6 @@ func TestSoftmaxEmpty(t *testing.T) {
 	}
 }
 
-func TestLogSoftmaxMatchesLogOfSoftmax(t *testing.T) {
-	z := mat.Vec{0.3, -1.2, 2.5}
-	p := Softmax(z)
-	lp := LogSoftmax(z)
-	for i := range z {
-		if !almost(lp[i], math.Log(p[i]), 1e-10) {
-			t.Fatalf("LogSoftmax[%d] = %v, want %v", i, lp[i], math.Log(p[i]))
-		}
-	}
-}
-
 func TestCrossEntropyFloor(t *testing.T) {
 	if v := CrossEntropy(mat.Vec{0, 1}, 0); math.IsInf(v, 0) {
 		t.Fatal("CrossEntropy of zero probability must be finite")
