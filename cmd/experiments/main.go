@@ -11,9 +11,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"image"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -53,32 +55,46 @@ var scales = map[string]scaleSpec{
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		log.Print(err)
+		os.Exit(1)
+	}
+}
 
+// run parses args like the command line and runs the selected experiments,
+// writing progress lines to stdout and artifacts under -out.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		expList = flag.String("exp", "all", "comma list: "+strings.Join(experimentNames, ",")+" or all")
-		scale   = flag.String("scale", "small", "small, medium or paper")
-		outDir  = flag.String("out", "results", "output directory")
-		seed    = flag.Int64("seed", 1, "master seed")
+		expList = fs.String("exp", "all", "comma list: "+strings.Join(experimentNames, ",")+" or all")
+		scale   = fs.String("scale", "small", "small, medium or paper")
+		outDir  = fs.String("out", "results", "output directory")
+		seed    = fs.Int64("seed", 1, "master seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	spec, ok := scales[*scale]
 	if !ok {
-		log.Fatalf("unknown -scale %q", *scale)
+		return fmt.Errorf("unknown -scale %q", *scale)
 	}
 	want, err := parseExperiments(*expList)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	all := want["all"]
 
 	var table1Rows []eval.AccuracyRow
 	for _, ds := range []string{"fmnist", "mnist"} {
 		start := time.Now()
-		fmt.Printf("== dataset %s: building workbench (%s scale)\n", ds, *scale)
+		fmt.Fprintf(stdout, "== dataset %s: building workbench (%s scale)\n", ds, *scale)
 		w, err := eval.NewWorkbench(eval.WorkbenchConfig{
 			Dataset:  ds,
 			Size:     spec.size,
@@ -95,9 +111,9 @@ func main() {
 			Seed: *seed,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("   trained in %v: PLNN %v (batched GEMM epoch, test acc %.3f), LMT %v (test acc %.3f, %d leaves)\n",
+		fmt.Fprintf(stdout, "   trained in %v: PLNN %v (batched GEMM epoch, test acc %.3f), LMT %v (test acc %.3f, %d leaves)\n",
 			time.Since(start).Round(time.Millisecond),
 			w.PLNNTrainTime.Round(time.Millisecond),
 			w.PLNN.Net.Accuracy(w.Test.X, w.Test.Y),
@@ -109,8 +125,8 @@ func main() {
 			table1Rows = append(table1Rows, eval.Table1(w)...)
 		}
 		if all || want["fig2"] {
-			if err := runFig2(w, ds, *outDir, spec, *seed); err != nil {
-				log.Fatal(err)
+			if err := runFig2(stdout, w, ds, *outDir, spec, *seed); err != nil {
+				return err
 			}
 		}
 		rng := rand.New(rand.NewSource(*seed + 77))
@@ -119,33 +135,33 @@ func main() {
 
 		for _, entry := range w.Models() {
 			if all || want["fig3"] {
-				if err := runFig3(w, entry, ds, *outDir, xs, spec, *seed); err != nil {
-					log.Fatal(err)
+				if err := runFig3(stdout, w, entry, ds, *outDir, xs, spec, *seed); err != nil {
+					return err
 				}
 			}
 			if all || want["fig4"] {
-				if err := runFig4(w, entry, ds, *outDir, ids, *seed); err != nil {
-					log.Fatal(err)
+				if err := runFig4(stdout, w, entry, ds, *outDir, ids, *seed); err != nil {
+					return err
 				}
 			}
 			if all || want["fig5"] || want["fig6"] || want["fig7"] {
-				if err := runQuality(entry, ds, *outDir, xs, *seed); err != nil {
-					log.Fatal(err)
+				if err := runQuality(stdout, entry, ds, *outDir, xs, *seed); err != nil {
+					return err
 				}
 			}
 			if all || want["census"] {
-				if err := runCensus(entry, ds, *outDir, xs, *seed); err != nil {
-					log.Fatal(err)
+				if err := runCensus(stdout, entry, ds, *outDir, xs, *seed); err != nil {
+					return err
 				}
 			}
 			if all || want["boundary"] {
-				if err := runBoundary(entry, ds, *outDir, xs, *seed); err != nil {
-					log.Fatal(err)
+				if err := runBoundary(stdout, entry, ds, *outDir, xs, *seed); err != nil {
+					return err
 				}
 			}
 			if all || want["remote"] {
-				if err := runRemote(entry, ds, *outDir, xs, *seed, spec.remoteReps); err != nil {
-					log.Fatal(err)
+				if err := runRemote(stdout, entry, ds, *outDir, xs, *seed, spec.remoteReps); err != nil {
+					return err
 				}
 			}
 		}
@@ -154,18 +170,22 @@ func main() {
 		path := filepath.Join(*outDir, "table1.md")
 		f, err := os.Create(path)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := eval.WriteTable1(f, table1Rows); err != nil {
-			log.Fatal(err)
+		err = eval.WriteTable1(f, table1Rows)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f.Close()
-		fmt.Printf("wrote %s\n", path)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", path)
 	}
-	if err := writeIndex(*outDir, *scale, *seed); err != nil {
-		log.Fatal(err)
+	if err := writeIndex(stdout, *outDir, *scale, *seed); err != nil {
+		return err
 	}
-	fmt.Println("done")
+	fmt.Fprintln(stdout, "done")
+	return nil
 }
 
 // experimentNames are the experiments -exp selects, besides "all".
@@ -189,7 +209,7 @@ func parseExperiments(list string) (map[string]bool, error) {
 // writeIndex emits results/INDEX.md describing every artifact the harness
 // can produce, so a reader landing in the output directory knows which file
 // regenerates which paper figure.
-func writeIndex(outDir, scale string, seed int64) error {
+func writeIndex(stdout io.Writer, outDir, scale string, seed int64) error {
 	entries, err := os.ReadDir(outDir)
 	if err != nil {
 		return err
@@ -219,7 +239,7 @@ func writeIndex(outDir, scale string, seed int64) error {
 		}
 		fmt.Fprintf(f, "- %s\n", e.Name())
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return nil
 }
 
@@ -230,7 +250,7 @@ func maxFeatures(size int) int {
 	return 0
 }
 
-func runFig2(w *eval.Workbench, ds, outDir string, spec scaleSpec, seed int64) error {
+func runFig2(stdout io.Writer, w *eval.Workbench, ds, outDir string, spec scaleSpec, seed int64) error {
 	// The paper shows five FMNIST classes: boot, pullover, coat, sneaker,
 	// t-shirt. For the digit dataset use digits 0-4.
 	classes := []int{0, 1, 2, 3, 4}
@@ -282,7 +302,7 @@ func runFig2(w *eval.Workbench, ds, outDir string, spec scaleSpec, seed int64) e
 	if err := heatmap.SavePNG(filepath.Join(outDir, fmt.Sprintf("fig2_%s_grid.png", ds)), montage); err != nil {
 		return err
 	}
-	fmt.Printf("   fig2: wrote %d heatmap sets + grid for %s\n", len(hms), ds)
+	fmt.Fprintf(stdout, "   fig2: wrote %d heatmap sets + grid for %s\n", len(hms), ds)
 	return nil
 }
 
@@ -308,7 +328,7 @@ func fig34Methods(w *eval.Workbench, entry eval.ModelEntry, seed int64) []plm.In
 	}
 }
 
-func runFig3(w *eval.Workbench, entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, spec scaleSpec, seed int64) error {
+func runFig3(stdout io.Writer, w *eval.Workbench, entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, spec scaleSpec, seed int64) error {
 	curves, err := eval.Figure3(entry.Model, fig34Methods(w, entry, seed), xs, spec.maxFlips)
 	if err != nil {
 		return err
@@ -322,11 +342,11 @@ func runFig3(w *eval.Workbench, entry eval.ModelEntry, ds, outDir string, xs []m
 	if err := eval.WriteCurvesCSV(f, curves); err != nil {
 		return err
 	}
-	fmt.Printf("   fig3: wrote %s\n", path)
+	fmt.Fprintf(stdout, "   fig3: wrote %s\n", path)
 	return nil
 }
 
-func runFig4(w *eval.Workbench, entry eval.ModelEntry, ds, outDir string, ids []int, seed int64) error {
+func runFig4(stdout io.Writer, w *eval.Workbench, entry eval.ModelEntry, ds, outDir string, ids []int, seed int64) error {
 	pairs, err := eval.NeighbourPairs(w, ids)
 	if err != nil {
 		return err
@@ -344,11 +364,11 @@ func runFig4(w *eval.Workbench, entry eval.ModelEntry, ds, outDir string, ids []
 	if err := eval.WriteConsistencyCSV(f, curves); err != nil {
 		return err
 	}
-	fmt.Printf("   fig4: wrote %s\n", path)
+	fmt.Fprintf(stdout, "   fig4: wrote %s\n", path)
 	return nil
 }
 
-func runCensus(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int64) error {
+func runCensus(stdout io.Writer, entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int64) error {
 	rng := rand.New(rand.NewSource(seed + 50))
 	census, err := eval.RegionCensus(entry.Model, xs, 200, 18, rng)
 	if err != nil {
@@ -365,11 +385,11 @@ func runCensus(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int6
 		census.Probes, census.DistinctRegions, census.LargestShare)
 	fmt.Fprintf(f, "- same-region hypercube edge around probes: min %.3g / median %.3g / max %.3g\n",
 		census.MinEdge, census.MedianEdge, census.MaxEdge)
-	fmt.Printf("   census: %d regions over %d probes -> %s\n", census.DistinctRegions, census.Probes, path)
+	fmt.Fprintf(stdout, "   census: %d regions over %d probes -> %s\n", census.DistinctRegions, census.Probes, path)
 	return nil
 }
 
-func runBoundary(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int64) error {
+func runBoundary(stdout io.Writer, entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int64) error {
 	limit := xs
 	if len(limit) > 6 {
 		limit = limit[:6] // bisection is per-instance expensive
@@ -377,7 +397,7 @@ func runBoundary(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed in
 	pts, err := eval.BoundaryProfile(entry.Model, limit, 1e-2, []int{0, 4, 8, 12}, seed+70)
 	if err != nil {
 		// Single-region models legitimately have no boundaries to profile.
-		fmt.Printf("   boundary: skipped for %s/%s (%v)\n", ds, entry.Name, err)
+		fmt.Fprintf(stdout, "   boundary: skipped for %s/%s (%v)\n", ds, entry.Name, err)
 		return nil
 	}
 	path := filepath.Join(outDir, fmt.Sprintf("boundary_%s_%s.csv", ds, strings.ToLower(entry.Name)))
@@ -391,7 +411,7 @@ func runBoundary(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed in
 		fmt.Fprintf(f, "%.6g,%.6g,%.6g,%d,%t\n",
 			p.Distance, p.NaiveL1, p.OpenAPIL1, p.OpenAPIIters, p.OpenAPIFailed)
 	}
-	fmt.Printf("   boundary: wrote %s (%d points)\n", path, len(pts))
+	fmt.Fprintf(stdout, "   boundary: wrote %s (%d points)\n", path, len(pts))
 	return nil
 }
 
@@ -403,7 +423,7 @@ func runBoundary(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed in
 // per repetition would re-pay startup, dialing and the adaptive window
 // warm-up every time, and the warmed window is visible in the per-rep
 // stats below).
-func runRemote(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int64, reps int) error {
+func runRemote(stdout io.Writer, entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int64, reps int) error {
 	if reps < 1 {
 		reps = 1
 	}
@@ -443,11 +463,11 @@ func runRemote(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int6
 		return err
 	}
 	last := wires[len(wires)-1]
-	fmt.Printf("   remote: wrote %s (%.1f queries/trip on rep %d)\n", path, last.QueriesPerTrip(), len(wires))
+	fmt.Fprintf(stdout, "   remote: wrote %s (%.1f queries/trip on rep %d)\n", path, last.QueriesPerTrip(), len(wires))
 	return nil
 }
 
-func runQuality(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int64) error {
+func runQuality(stdout io.Writer, entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int64) error {
 	rows, err := eval.QualityGrid(entry.Model, xs, eval.HGrid, seed+40)
 	if err != nil {
 		return err
@@ -464,6 +484,6 @@ func runQuality(entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int
 	if err := eval.WriteQuality(f, rows); err != nil {
 		return err
 	}
-	fmt.Printf("   fig5/6/7: wrote %s\n", path)
+	fmt.Fprintf(stdout, "   fig5/6/7: wrote %s\n", path)
 	return nil
 }
