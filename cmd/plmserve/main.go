@@ -54,8 +54,8 @@
 // Payload encoding is negotiated per request (internal/wire): every
 // endpoint speaks the legacy JSON envelopes, and peers that saw the
 // server's /meta advertise the binary float-frame codec ship the same
-// payloads as length-prefixed little-endian frames — bit-identical to the
-// JSON path at a fraction of the bytes, with an opt-in float32 mode.
+// payloads as length-prefixed little-endian float64 frames — bit-identical
+// to the JSON path at a fraction of the bytes.
 // Finished job results additionally page (GET /jobs/{id}?offset=O&limit=L)
 // and, for binary clients, stream as one frame per result chunk. /stats
 // reports the wire traffic (bytes_in/bytes_out and the binary/JSON request

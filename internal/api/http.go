@@ -270,13 +270,13 @@ func (s *Server) SetRegionSource(lookup func(key string) (*plm.Linear, bool)) {
 			rows[i] = lin.W.RawRow(i)
 		}
 		ex := s.exchange(r)
-		if bin, ok := ex.BinaryOut(); ok {
-			w.Header().Set("Content-Type", bin.ContentType())
+		if ex.BinaryOut() {
+			w.Header().Set("Content-Type", wire.ContentTypeBinary)
 			cw := ex.CountWriter(w)
-			if err := wire.WriteFrame(cw, rows, false); err != nil {
+			if err := wire.WriteFrame(cw, rows); err != nil {
 				return
 			}
-			_ = wire.WriteFrame(cw, [][]float64{lin.B}, false)
+			_ = wire.WriteFrame(cw, [][]float64{lin.B})
 			return
 		}
 		ex.WriteJSON(w, http.StatusOK, regionResponse{Key: lin.Key, W: rows, B: lin.B})
@@ -422,8 +422,8 @@ var defaultTransport = &http.Transport{
 // The client speaks the binary float-frame codec automatically when the
 // server's /meta advertises it, and stays on JSON otherwise — so a new
 // client against an old server interoperates without configuration.
-// SetCodec and SetFloat32 adjust the choice; call them before sharing the
-// client across goroutines.
+// SetCodec adjusts the choice; call it before sharing the client across
+// goroutines. Every payload travels as exact float64 bits on both codecs.
 type Client struct {
 	baseURL string
 	httpc   *http.Client
@@ -431,11 +431,8 @@ type Client struct {
 	retries int
 	// binary selects the frame codec for requests and the Accept header;
 	// binaryOK records whether the server advertised it.
-	binary   bool
-	binaryOK bool
-	// f32 opts this client's frames into float32 payloads — half the bytes,
-	// explicitly outside the bit-identity surface.
-	f32       bool
+	binary    bool
+	binaryOK  bool
 	wireStats wire.Stats
 	// prefix is "/v1" once the server's /meta advertised api_version >= 1,
 	// and "" against older peers — negotiated exactly like the codec.
@@ -506,11 +503,10 @@ func (c *Client) BaseURL() string { return c.baseURL }
 // endpoints against the same server.
 func (c *Client) HTTPClient() *http.Client { return c.httpc }
 
-// Codec returns the request codec the client currently speaks,
-// carrying its float32 preference.
+// Codec returns the request codec the client currently speaks.
 func (c *Client) Codec() wire.Codec {
 	if c.binary {
-		return wire.Binary{Float32: c.f32}
+		return wire.Binary{}
 	}
 	return wire.JSON{}
 }
@@ -534,11 +530,6 @@ func (c *Client) SetCodec(name string) error {
 	}
 	return nil
 }
-
-// SetFloat32 opts the client's binary frames into float32 payloads —
-// half the wire bytes, explicitly excluded from bit-identity guarantees.
-// A no-op on the JSON codec.
-func (c *Client) SetFloat32(on bool) { c.f32 = on }
 
 // WireCounts snapshots the client-side wire counters: payload bytes
 // shipped and received and the codec split of its requests. A shard
@@ -648,7 +639,7 @@ func (c *Client) do(ctx context.Context, path string, body func() (io.ReadCloser
 		}
 		codec := c.Codec()
 		req.Header.Set("Content-Type", codec.ContentType())
-		req.Header.Set("Accept", wire.AcceptValue(codec, c.f32))
+		req.Header.Set("Accept", wire.AcceptValue(codec))
 		c.wireStats.CountRequest(c.binary)
 		c.wireStats.AddBytesOut(size)
 		resp, err := c.httpc.Do(req)
@@ -690,7 +681,6 @@ func bytesBody(payload []byte) func() (io.ReadCloser, int64) {
 // body after Do returns, and the rows belong to the caller.
 type frameBodies struct {
 	m      [][]float64
-	f32    bool
 	mu     sync.Mutex
 	first  *wire.FrameBody // validated up front, handed out by the first open
 	opened []*wire.FrameBody
@@ -698,12 +688,12 @@ type frameBodies struct {
 
 // newFrameBodies rejects a matrix that cannot travel as one frame before
 // any request is built.
-func newFrameBodies(m [][]float64, f32 bool) (*frameBodies, error) {
-	b, err := wire.NewFrameBody(m, f32)
+func newFrameBodies(m [][]float64) (*frameBodies, error) {
+	b, err := wire.NewFrameBody(m)
 	if err != nil {
 		return nil, err
 	}
-	return &frameBodies{m: m, f32: f32, first: b}, nil
+	return &frameBodies{m: m, first: b}, nil
 }
 
 // open returns a fresh body positioned at the frame's first byte.
@@ -712,7 +702,7 @@ func (f *frameBodies) open() (io.ReadCloser, int64) {
 	defer f.mu.Unlock()
 	b := f.first
 	if b == nil {
-		b, _ = wire.NewFrameBody(f.m, f.f32) // m passed newFrameBodies
+		b, _ = wire.NewFrameBody(f.m) // m passed newFrameBodies
 	}
 	f.first = nil
 	f.opened = append(f.opened, b)
@@ -756,7 +746,7 @@ func (c *Client) postVec(ctx context.Context, path, reqField string, v []float64
 func (c *Client) postMat(ctx context.Context, path, reqField string, m [][]float64, respField string) ([][]float64, error) {
 	var body func() (io.ReadCloser, int64)
 	if c.binary {
-		frames, err := newFrameBodies(m, c.f32)
+		frames, err := newFrameBodies(m)
 		if err != nil {
 			return nil, fmt.Errorf("api: encode request: %w", err)
 		}

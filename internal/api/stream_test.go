@@ -37,7 +37,7 @@ func frameOf(t testing.TB, xs []mat.Vec) []byte {
 		rows[i] = x
 	}
 	var buf bytes.Buffer
-	if err := wire.WriteFrame(&buf, rows, false); err != nil {
+	if err := wire.WriteFrame(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -177,7 +177,7 @@ func TestStreamEarlyReplyReleasesRowsOnReturn(t *testing.T) {
 			probs[i] = []float64{0.25, 0.25, 0.5}
 		}
 		w.Header().Set("Content-Type", wire.ContentTypeBinary)
-		_ = wire.WriteFrame(w, probs, false)
+		_ = wire.WriteFrame(w, probs)
 		http.NewResponseController(w).Flush()
 		_, _ = io.Copy(io.Discard, r.Body)
 	}))

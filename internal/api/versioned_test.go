@@ -142,7 +142,7 @@ func TestRegionSourceServesStoredClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", wire.AcceptValue(wire.Binary{}, false))
+	req.Header.Set("Accept", wire.AcceptValue(wire.Binary{}))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -236,7 +237,7 @@ func TestMalformedBinaryRequestsAnswer400(t *testing.T) {
 	_, ts := newTestServer(t)
 	valid := func() []byte {
 		var buf bytes.Buffer
-		if err := wire.WriteFrame(&buf, [][]float64{{1, 2, 3, 4}}, false); err != nil {
+		if err := wire.WriteFrame(&buf, [][]float64{{1, 2, 3, 4}}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -450,26 +451,68 @@ func TestShardStatsReachThroughRemoteWireCounters(t *testing.T) {
 	}
 }
 
-func TestFloat32OptIn(t *testing.T) {
+// TestRetiredFloat32RequestsGetExactFrames: the float32 payload mode is
+// gone. A /v1/batch frame with flags bit 0 set answers 400, and a request
+// whose Accept still asks for prec=f32 gets float64 frames whose bits equal
+// a plain binary request's answer.
+func TestRetiredFloat32RequestsGetExactFrames(t *testing.T) {
 	_, ts := newTestServer(t)
-	c, err := Dial(ts.URL, nil, 0)
-	if err != nil {
+	var rows [][]float64
+	for _, x := range wireProbes() {
+		rows = append(rows, x)
+	}
+	var frame bytes.Buffer
+	if err := wire.WriteFrame(&frame, rows); err != nil {
 		t.Fatal(err)
 	}
-	c.SetFloat32(true)
-	local := testModel(100)
-	x := mat.Vec{0.1, -0.2, 0.3, 0.4}
-	got, err := c.PredictErr(x)
-	if err != nil {
-		t.Fatal(err)
+	post := func(body []byte, accept string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", wire.ContentTypeBinary)
+		req.Header.Set("Accept", accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, out
 	}
-	// f32 is lossy by contract: approximately right, no bit guarantees.
-	if !got.EqualApprox(local.Predict(x), 1e-6) {
-		t.Fatalf("f32 answer %v too far from %v", got, local.Predict(x))
+
+	flagged := bytes.Clone(frame.Bytes())
+	flagged[5] = 1
+	if resp, body := post(flagged, wire.ContentTypeBinary); resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("unknown frame flags")) {
+		t.Fatalf("flags-1 frame answered %s: %s", resp.Status, body)
 	}
-	// The response really did ride 4-byte elements: 16-byte header plus
-	// classes×4 payload, as the client's received-bytes counter shows.
-	if cc := c.WireCounts(); cc.BytesIn != int64(16+4*local.Classes()) {
-		t.Fatalf("f32 response was %d bytes, want %d", cc.BytesIn, 16+4*local.Classes())
+
+	decode := func(accept string) [][]float64 {
+		t.Helper()
+		resp, body := post(frame.Bytes(), accept)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != wire.ContentTypeBinary {
+			t.Fatalf("Accept %q answered %s, %q: %s", accept, resp.Status, resp.Header.Get("Content-Type"), body)
+		}
+		if want := 16 + 8*len(rows)*testModel(100).Classes(); len(body) != want {
+			t.Fatalf("Accept %q: %d-byte frame, want %d (float64 payload)", accept, len(body), want)
+		}
+		m, err := wire.ReadFrame(bytes.NewReader(body), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	plain := decode(wire.ContentTypeBinary)
+	asked := decode(wire.ContentTypeBinary + ";prec=f32")
+	for i := range plain {
+		for j := range plain[i] {
+			if math.Float64bits(asked[i][j]) != math.Float64bits(plain[i][j]) {
+				t.Fatalf("row %d class %d: prec=f32 answer %x, plain %x", i, j, math.Float64bits(asked[i][j]), math.Float64bits(plain[i][j]))
+			}
+		}
 	}
 }

@@ -251,10 +251,10 @@ func encodeBody(key string, lin *plm.Linear) ([]byte, error) {
 	for i := range rows {
 		rows[i] = lin.W.RawRow(i)
 	}
-	if err := wire.WriteFrame(&buf, rows, false); err != nil {
+	if err := wire.WriteFrame(&buf, rows); err != nil {
 		return nil, fmt.Errorf("atlas: encode W: %w", err)
 	}
-	if err := wire.WriteFrame(&buf, [][]float64{lin.B}, false); err != nil {
+	if err := wire.WriteFrame(&buf, [][]float64{lin.B}); err != nil {
 		return nil, fmt.Errorf("atlas: encode B: %w", err)
 	}
 	return buf.Bytes(), nil

@@ -220,11 +220,7 @@ func streamBinary(c *api.Client, id, wantOp string, offset, limit int, next func
 	if err != nil {
 		return fmt.Errorf("jobs: build result fetch: %w", err)
 	}
-	f32 := false
-	if b, ok := c.Codec().(wire.Binary); ok {
-		f32 = b.Float32
-	}
-	req.Header.Set("Accept", wire.AcceptValue(c.Codec(), f32))
+	req.Header.Set("Accept", wire.AcceptValue(c.Codec()))
 	resp, err := c.HTTPClient().Do(req)
 	if err != nil {
 		return fmt.Errorf("jobs: fetch results: %w", err)

@@ -89,7 +89,7 @@ const (
 // harvested region — flushed as they are written. The server never
 // serializes more than one chunk at a time, and a streaming reader on the
 // other side decodes the same way; the stream ends at EOF.
-func (r *Runner) streamView(w http.ResponseWriter, ex *wire.Exchange, v View, win window, bin wire.Binary) {
+func (r *Runner) streamView(w http.ResponseWriter, ex *wire.Exchange, v View, win window) {
 	h := w.Header()
 	h.Set(HeaderID, v.ID)
 	h.Set(HeaderOp, v.Op)
@@ -122,7 +122,7 @@ func (r *Runner) streamView(w http.ResponseWriter, ex *wire.Exchange, v View, wi
 			stop := min(at+chunk, end)
 			// Errors past the header are unrecoverable mid-stream; the
 			// truncated frame makes the breakage visible to the reader.
-			if err := wire.WriteFrame(cw, v.Probs[at:stop], bin.Float32); err != nil {
+			if err := wire.WriteFrame(cw, v.Probs[at:stop]); err != nil {
 				return
 			}
 			if flusher != nil {
@@ -131,13 +131,13 @@ func (r *Runner) streamView(w http.ResponseWriter, ex *wire.Exchange, v View, wi
 		}
 	case OpInterpret:
 		for _, region := range v.Regions[start:end] {
-			if err := wire.WriteFrame(cw, [][]float64{region.Probe}, bin.Float32); err != nil {
+			if err := wire.WriteFrame(cw, [][]float64{region.Probe}); err != nil {
 				return
 			}
-			if err := wire.WriteFrame(cw, region.RelW, bin.Float32); err != nil {
+			if err := wire.WriteFrame(cw, region.RelW); err != nil {
 				return
 			}
-			if err := wire.WriteFrame(cw, [][]float64{region.RelB}, bin.Float32); err != nil {
+			if err := wire.WriteFrame(cw, [][]float64{region.RelB}); err != nil {
 				return
 			}
 			if flusher != nil {

@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -204,6 +206,64 @@ func TestBinaryStreamRegionsBitIdentical(t *testing.T) {
 		rowBitsEqual(t, [][]float64{got[i].Probe}, [][]float64{want.Probe}, "probe")
 		rowBitsEqual(t, got[i].RelW, want.RelW, "rel_w")
 		rowBitsEqual(t, [][]float64{got[i].RelB}, [][]float64{want.RelB}, "rel_b")
+	}
+}
+
+// TestStreamIgnoresRetiredPrecParameter: a result stream requested with
+// Accept: …;prec=f32 is the same float64 frames, byte for byte, as a plain
+// binary request's, for both result kinds.
+func TestStreamIgnoresRetiredPrecParameter(t *testing.T) {
+	model := jobModel(29)
+	r, _, c := streamServer(t, model, model, 4)
+	get := func(id, accept string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, c.BaseURL()+c.Prefix()+"/jobs/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != wire.ContentTypeBinary {
+			t.Fatalf("Accept %q answered %s, %q", accept, resp.Status, resp.Header.Get("Content-Type"))
+		}
+		return body
+	}
+	xs := jobProbes(rand.New(rand.NewSource(30)), 10, model.Dim())
+	for _, op := range []string{OpPredict, OpInterpret} {
+		ack, err := Submit(c, op, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := waitDone(t, r, ack.ID)
+		plain := get(ack.ID, wire.ContentTypeBinary)
+		if asked := get(ack.ID, wire.ContentTypeBinary+";prec=f32"); !bytes.Equal(asked, plain) {
+			t.Fatalf("%s: prec=f32 stream (%d bytes) differs from the plain one (%d bytes)", op, len(asked), len(plain))
+		}
+		fr := wire.NewFrameReader(bytes.NewReader(plain), 0)
+		var got [][]float64
+		for {
+			m, err := fr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, m...)
+		}
+		if op == OpPredict {
+			rowBitsEqual(t, got, full.Probs, "streamed probs")
+		} else if len(got) == 0 {
+			t.Fatal("interpret stream carried no frames")
+		}
 	}
 }
 

@@ -51,14 +51,12 @@ func benchCodec(b *testing.B, codec Codec, rows, cols int) {
 	b.ReportMetric(float64(buf.Len()), "wirebytes/op")
 }
 
-func BenchmarkWireBatchJSON_16(b *testing.B)      { benchCodec(b, JSON{}, 16, 8) }
-func BenchmarkWireBatchJSON_256(b *testing.B)     { benchCodec(b, JSON{}, 256, 8) }
-func BenchmarkWireBatchJSON_4096(b *testing.B)    { benchCodec(b, JSON{}, 4096, 8) }
-func BenchmarkWireBatchBinary_16(b *testing.B)    { benchCodec(b, Binary{}, 16, 8) }
-func BenchmarkWireBatchBinary_256(b *testing.B)   { benchCodec(b, Binary{}, 256, 8) }
-func BenchmarkWireBatchBinary_4096(b *testing.B)  { benchCodec(b, Binary{}, 4096, 8) }
-func BenchmarkWireBatchFloat32_256(b *testing.B)  { benchCodec(b, Binary{Float32: true}, 256, 8) }
-func BenchmarkWireBatchFloat32_4096(b *testing.B) { benchCodec(b, Binary{Float32: true}, 4096, 8) }
+func BenchmarkWireBatchJSON_16(b *testing.B)     { benchCodec(b, JSON{}, 16, 8) }
+func BenchmarkWireBatchJSON_256(b *testing.B)    { benchCodec(b, JSON{}, 256, 8) }
+func BenchmarkWireBatchJSON_4096(b *testing.B)   { benchCodec(b, JSON{}, 4096, 8) }
+func BenchmarkWireBatchBinary_16(b *testing.B)   { benchCodec(b, Binary{}, 16, 8) }
+func BenchmarkWireBatchBinary_256(b *testing.B)  { benchCodec(b, Binary{}, 256, 8) }
+func BenchmarkWireBatchBinary_4096(b *testing.B) { benchCodec(b, Binary{}, 4096, 8) }
 
 // Frames at the shapes the stack moves: one interpret-784 probe (786 rows
 // of 784 pixels) and one batch-784 request (256 rows). Not in the

@@ -15,33 +15,31 @@ import (
 //	offset  size  field
 //	0       4     magic "PLMB"
 //	4       1     version, currently 1
-//	5       1     flags — bit 0: payload elements are float32
+//	5       1     flags, reserved, must be zero
 //	6       2     reserved, must be zero
 //	8       4     rows (uint32)
 //	12      4     cols (uint32)
-//	16      …     rows·cols payload elements, row-major, little-endian
-//	              IEEE-754: 8 bytes each (float64) or 4 (float32)
+//	16      …     rows·cols float64 payload elements, row-major,
+//	              little-endian IEEE-754, 8 bytes each
 //
 // The dims are the length prefix: a reader knows the exact payload size
 // before touching it, which is what lets GET /jobs/{id} stream one frame
 // per result chunk with no outer envelope — the stream ends at EOF.
-// Float64 payloads carry the exact in-process bits, so the binary path is
+// The payload carries the exact in-process bits, so the binary path is
 // bit-identical to JSON (whose shortest round-trip formatting restores the
-// same bits). Float32 frames are the lossy opt-in; flags bit 0 makes every
-// frame self-describing, so a decoder never guesses the element width.
+// same bits). The flags byte has no defined bit: a frame with any flag set
+// is refused, so no peer can ask for a lossy payload (DESIGN.md §12).
 const (
 	frameMagic   = "PLMB"
 	FrameVersion = 1
 	frameHeader  = 16
-	flagFloat32  = 1 << 0
 )
 
 // hostLE reports whether this host stores a float64 in the frame's byte
 // order, so that a float64 payload and the memory of a []float64 are the
-// same bytes. Detected once; when it holds, float64 frames move between
-// the socket and float memory in one copy (floatBytes), and float32 frames
-// and big-endian hosts take the per-element loops. Tests clear it to drive
-// the loops.
+// same bytes. Detected once; when it holds, frames move between the socket
+// and float memory in one copy (floatBytes), and big-endian hosts take the
+// per-element loops. Tests clear it to drive the loops.
 var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // frameBlock caps the memory a decoder commits at a time: a frame's
@@ -114,16 +112,8 @@ func floatBytes(v []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8)
 }
 
-// native reports whether a payload of this element width moves as raw
-// memory: float64 on a hostLE host.
-func native(f32 bool) bool { return !f32 && hostLE }
-
-// Binary is the float-frame codec. Float32 selects the 4-byte payload
-// encoding for frames this value writes; decoding always honors the
-// incoming frame's own flags.
-type Binary struct {
-	Float32 bool
-}
+// Binary is the float-frame codec.
+type Binary struct{}
 
 // Name returns "binary".
 func (Binary) Name() string { return NameBinary }
@@ -132,8 +122,8 @@ func (Binary) Name() string { return NameBinary }
 func (Binary) ContentType() string { return ContentTypeBinary }
 
 // EncodeVec writes v as a 1×len(v) frame. The field name is JSON-only.
-func (b Binary) EncodeVec(w io.Writer, _ string, v []float64) error {
-	return WriteFrame(w, [][]float64{v}, b.Float32)
+func (Binary) EncodeVec(w io.Writer, _ string, v []float64) error {
+	return WriteFrame(w, [][]float64{v})
 }
 
 // DecodeVec reads one frame and requires it to be a single row.
@@ -149,8 +139,8 @@ func (Binary) DecodeVec(r io.Reader, limit int64, _ string) ([]float64, error) {
 }
 
 // EncodeMat writes m as one rows×cols frame.
-func (b Binary) EncodeMat(w io.Writer, _ string, m [][]float64) error {
-	return WriteFrame(w, m, b.Float32)
+func (Binary) EncodeMat(w io.Writer, _ string, m [][]float64) error {
+	return WriteFrame(w, m)
 }
 
 // DecodeMat reads one frame as a row list.
@@ -166,21 +156,21 @@ func (Binary) DecodeMat(r io.Reader, limit int64, _ string) ([][]float64, error)
 }
 
 // WriteFrame writes m as one binary frame. All rows must share a width.
-func WriteFrame(w io.Writer, m [][]float64, f32 bool) error {
+func WriteFrame(w io.Writer, m [][]float64) error {
 	cols, err := frameCols(m)
 	if err != nil {
 		return err
 	}
-	hdr := frameHeaderFor(len(m), cols, f32)
+	hdr := frameHeaderFor(len(m), cols)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	var buf []byte
-	if !native(f32) {
-		buf = make([]byte, cols*elemSize(f32))
+	if !hostLE {
+		buf = make([]byte, cols*8)
 	}
 	for _, row := range m {
-		if _, err := w.Write(rowPayload(buf, row, f32)); err != nil {
+		if _, err := w.Write(rowPayload(buf, row)); err != nil {
 			return err
 		}
 	}
@@ -207,46 +197,28 @@ func frameCols(m [][]float64) (int, error) {
 }
 
 // frameHeaderFor encodes the 16-byte header of a rows×cols frame.
-func frameHeaderFor(rows, cols int, f32 bool) [frameHeader]byte {
+func frameHeaderFor(rows, cols int) [frameHeader]byte {
 	var hdr [frameHeader]byte
 	copy(hdr[:4], frameMagic)
 	hdr[4] = FrameVersion
-	if f32 {
-		hdr[5] = flagFloat32
-	}
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(rows))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(cols))
 	return hdr
 }
 
-// elemSize is the payload bytes per element.
-func elemSize(f32 bool) int {
-	if f32 {
-		return 4
-	}
-	return 8
-}
-
-// rowPayload returns row's payload bytes: the row's own memory on the
-// native path, else row encoded into buf, which holds exactly
-// len(row)·elemSize(f32) bytes.
-func rowPayload(buf []byte, row []float64, f32 bool) []byte {
-	if native(f32) {
+// rowPayload returns row's payload bytes: the row's own memory on a hostLE
+// host, else row encoded into buf, which holds exactly 8·len(row) bytes.
+func rowPayload(buf []byte, row []float64) []byte {
+	if hostLE {
 		return floatBytes(row)
 	}
-	encodeRow(buf, row, f32)
+	encodeRow(buf, row)
 	return buf
 }
 
-// encodeRow writes row's payload into dst, which holds exactly
-// len(row)·elemSize(f32) bytes, one element at a time.
-func encodeRow(dst []byte, row []float64, f32 bool) {
-	if f32 {
-		for j, v := range row {
-			binary.LittleEndian.PutUint32(dst[4*j:], math.Float32bits(float32(v)))
-		}
-		return
-	}
+// encodeRow writes row's payload into dst, which holds exactly 8·len(row)
+// bytes, one element at a time.
+func encodeRow(dst []byte, row []float64) {
 	for j, v := range row {
 		binary.LittleEndian.PutUint64(dst[8*j:], math.Float64bits(v))
 	}
@@ -256,8 +228,8 @@ func encodeRow(dst []byte, row []float64, f32 bool) {
 var errBodyClosed = errors.New("wire: read on closed frame body")
 
 // FrameBody streams the frame WriteFrame would write, as an io.ReadCloser
-// that takes each row's bytes only when a Read reaches it — on the native
-// path straight from the row's memory — so the frame is never staged in
+// that takes each row's bytes only when a Read reaches it — on a hostLE
+// host straight from the row's memory — so the frame is never staged in
 // memory. It is the request body of a binary matrix POST.
 //
 // Lifetime: the body reads the caller's rows in place, so they must not
@@ -268,11 +240,10 @@ var errBodyClosed = errors.New("wire: read on closed frame body")
 type FrameBody struct {
 	mu      sync.Mutex
 	m       [][]float64 // nil once closed
-	f32     bool
 	size    int64
 	hdr     [frameHeader]byte
 	pending []byte // payload bytes not yet read: the header or a row's tail
-	rowBuf  []byte // one encoded row, off the native path
+	rowBuf  []byte // one encoded row, on a big-endian host
 	next    int    // next row to send
 	closed  chan struct{}
 }
@@ -280,20 +251,19 @@ type FrameBody struct {
 // NewFrameBody builds a streamed body for m. A matrix that cannot travel
 // as one frame (ragged rows, dims past uint32) is rejected here, before
 // any byte is read.
-func NewFrameBody(m [][]float64, f32 bool) (*FrameBody, error) {
+func NewFrameBody(m [][]float64) (*FrameBody, error) {
 	cols, err := frameCols(m)
 	if err != nil {
 		return nil, err
 	}
 	b := &FrameBody{
 		m:      m,
-		f32:    f32,
-		size:   frameHeader + int64(len(m))*int64(cols)*int64(elemSize(f32)),
-		hdr:    frameHeaderFor(len(m), cols, f32),
+		size:   frameHeader + int64(len(m))*int64(cols)*8,
+		hdr:    frameHeaderFor(len(m), cols),
 		closed: make(chan struct{}),
 	}
-	if !native(f32) {
-		b.rowBuf = make([]byte, cols*elemSize(f32))
+	if !hostLE {
+		b.rowBuf = make([]byte, cols*8)
 	}
 	b.pending = b.hdr[:]
 	return b, nil
@@ -318,7 +288,7 @@ func (b *FrameBody) Read(p []byte) (int, error) {
 			if b.next == len(b.m) {
 				break
 			}
-			b.pending = rowPayload(b.rowBuf, b.m[b.next], b.f32)
+			b.pending = rowPayload(b.rowBuf, b.m[b.next])
 			b.next++
 		}
 		k := copy(p, b.pending)
@@ -408,21 +378,19 @@ func readFrame(lr *limited, own *blockSet) ([][]float64, error) {
 	if hdr[4] != FrameVersion {
 		return nil, fmt.Errorf("wire: unsupported frame version %d", hdr[4])
 	}
-	if hdr[5]&^byte(flagFloat32) != 0 {
+	if hdr[5] != 0 {
 		return nil, fmt.Errorf("wire: unknown frame flags %#x", hdr[5])
 	}
 	if hdr[6] != 0 || hdr[7] != 0 {
 		return nil, fmt.Errorf("wire: nonzero reserved frame bytes")
 	}
-	f32 := hdr[5]&flagFloat32 != 0
 	rows := int64(binary.LittleEndian.Uint32(hdr[8:]))
 	cols := int64(binary.LittleEndian.Uint32(hdr[12:]))
-	elem := int64(elemSize(f32))
 	// Admission control before any allocation: the declared payload plus
 	// a row header per row — what the decoded rows cost besides their
 	// floats, so a zero-col frame cannot claim four billion rows for free
 	// — must fit the remaining budget.
-	perRow := cols*elem + rowHeader
+	perRow := cols*8 + rowHeader
 	if rows == 0 {
 		// No payload follows; return before sizing the row buffer — a
 		// zero-row frame may still declare a huge cols.
@@ -444,13 +412,13 @@ func readFrame(lr *limited, own *blockSet) ([][]float64, error) {
 	if cols == 0 || rows < blockRows || cols*8 > frameBlock {
 		own = nil
 	}
-	c, rowBytes := int(cols), int(cols*elem)
+	c, rowBytes := int(cols), int(cols*8)
 	var first int // own's blocks before this frame's
 	if own != nil {
 		first = len(own.blocks)
 	}
 	out := make([][]float64, 0, min(rows, blockRows))
-	var raw []byte // the block's bytes, off the native path
+	var raw []byte // the block's bytes, on a big-endian host
 	for int64(len(out)) < rows {
 		n := int(min(blockRows, rows-int64(len(out))))
 		if len(out)+n > cap(out) {
@@ -467,7 +435,7 @@ func readFrame(lr *limited, own *blockSet) ([][]float64, error) {
 			blk = make([]float64, n*c)
 		}
 		buf := floatBytes(blk)
-		if !native(f32) {
+		if !hostLE {
 			if raw == nil {
 				raw = make([]byte, n*rowBytes)
 			}
@@ -479,8 +447,8 @@ func readFrame(lr *limited, own *blockSet) ([][]float64, error) {
 			}
 			return nil, fmt.Errorf("wire: read frame payload row %d: %w", len(out)+k/rowBytes, lr.sticky(noEOF(err)))
 		}
-		if !native(f32) {
-			decodeFloats(blk, buf, f32)
+		if !hostLE {
+			decodeFloats(blk, buf)
 		}
 		for i := range n {
 			out = append(out, blk[i*c:(i+1)*c:(i+1)*c])
@@ -491,13 +459,7 @@ func readFrame(lr *limited, own *blockSet) ([][]float64, error) {
 
 // decodeFloats decodes src, the payload of len(dst) elements, into dst one
 // element at a time.
-func decodeFloats(dst []float64, src []byte, f32 bool) {
-	if f32 {
-		for j := range dst {
-			dst[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:])))
-		}
-		return
-	}
+func decodeFloats(dst []float64, src []byte) {
 	for j := range dst {
 		dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*j:]))
 	}

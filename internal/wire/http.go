@@ -113,16 +113,14 @@ func requestCodec(r *http.Request) Codec {
 }
 
 // responseCodec picks the response codec from Accept: the frame type
-// anywhere in the list selects binary (with its optional prec=f32
-// parameter); everything else — absent, */*, unparsable — falls back to
-// JSON. An old client never sees a frame it did not ask for.
+// anywhere in the list selects binary, whatever parameters it carries;
+// everything else — absent, */*, unparsable — falls back to JSON. An old
+// client never sees a frame it did not ask for.
 func responseCodec(r *http.Request) Codec {
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		mt, params, err := mime.ParseMediaType(strings.TrimSpace(part))
-		if err != nil || mt != ContentTypeBinary {
-			continue
+		if mt, _, err := mime.ParseMediaType(strings.TrimSpace(part)); err == nil && mt == ContentTypeBinary {
+			return Binary{}
 		}
-		return Binary{Float32: params["prec"] == "f32"}
 	}
 	return JSON{}
 }
@@ -132,12 +130,8 @@ func responseCodec(r *http.Request) Codec {
 // submit op, say) need to branch on.
 func (e *Exchange) BinaryIn() bool { return e.in.Name() == NameBinary }
 
-// BinaryOut returns the response frame codec when the client asked for
-// one, carrying the negotiated float32 preference.
-func (e *Exchange) BinaryOut() (Binary, bool) {
-	b, ok := e.out.(Binary)
-	return b, ok
-}
+// BinaryOut reports whether the client asked for frame responses.
+func (e *Exchange) BinaryOut() bool { return e.out.Name() == NameBinary }
 
 // body wraps the request body so consumed bytes land in the stats.
 func (e *Exchange) body() io.Reader {

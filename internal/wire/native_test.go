@@ -14,8 +14,8 @@ import (
 )
 
 // The native path moves float64 payloads as raw memory; the per-element
-// loops it replaced are kept for float32 frames and big-endian hosts, and
-// serve here as its reference. withLoops forces every float64 frame onto
+// loops it replaced are kept for big-endian hosts, and serve here as its
+// reference. withLoops forces every float64 frame onto
 // the loops for the rest of the test; underLoops, while fn runs.
 func withLoops(t *testing.T) {
 	t.Helper()
@@ -54,10 +54,10 @@ func specialRows(rng *rand.Rand, rows, cols int) [][]float64 {
 	return m
 }
 
-func encodeFrame(t *testing.T, m [][]float64, f32 bool) []byte {
+func encodeFrame(t *testing.T, m [][]float64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, m, f32); err != nil {
+	if err := WriteFrame(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -75,9 +75,9 @@ func frameBits(m [][]float64) []uint64 {
 }
 
 // TestNativeFramesMatchLoops: for rows around the decode block boundary and
-// at interpret's probe size, in both element widths, the native path
-// writes the loops' bytes and decodes the loops' bits, and a float64
-// frame decodes to exactly the bits that were encoded.
+// at interpret's probe size, the native path writes the loops' bytes and
+// decodes the loops' bits, and a frame decodes to exactly the bits that
+// were encoded.
 func TestNativeFramesMatchLoops(t *testing.T) {
 	if !hostLE {
 		t.Skip("big-endian host: the loops are the only path")
@@ -87,43 +87,39 @@ func TestNativeFramesMatchLoops(t *testing.T) {
 		blk := blockRowsFor(cols)
 		for _, rows := range []int{0, 1, blk - 1, blk, blk + 1, 786} {
 			m := specialRows(rng, rows, cols)
-			for _, f32 := range []bool{false, true} {
-				name := fmt.Sprintf("%dx%d f32=%v", rows, cols, f32)
-				fast := encodeFrame(t, m, f32)
-				got, err := ReadFrame(bytes.NewReader(fast), 0)
-				if err != nil {
-					t.Fatalf("%s: native decode: %v", name, err)
+			name := fmt.Sprintf("%dx%d", rows, cols)
+			fast := encodeFrame(t, m)
+			got, err := ReadFrame(bytes.NewReader(fast), 0)
+			if err != nil {
+				t.Fatalf("%s: native decode: %v", name, err)
+			}
+			var loop []byte
+			var want [][]float64
+			underLoops(func() {
+				loop = encodeFrame(t, m)
+				want, err = ReadFrame(bytes.NewReader(loop), 0)
+			})
+			if err != nil {
+				t.Fatalf("%s: loop decode: %v", name, err)
+			}
+			if !bytes.Equal(fast, loop) {
+				t.Fatalf("%s: native frame bytes differ from the loops'", name)
+			}
+			if len(got) != rows || len(want) != rows {
+				t.Fatalf("%s: decoded %d and %d rows", name, len(got), len(want))
+			}
+			gb, wb := frameBits(got), frameBits(want)
+			if len(gb) != len(wb) {
+				t.Fatalf("%s: %d elements, loops %d", name, len(gb), len(wb))
+			}
+			for k := range wb {
+				if gb[k] != wb[k] {
+					t.Fatalf("%s: element %d decodes to %#016x, loops %#016x", name, k, gb[k], wb[k])
 				}
-				var loop []byte
-				var want [][]float64
-				underLoops(func() {
-					loop = encodeFrame(t, m, f32)
-					want, err = ReadFrame(bytes.NewReader(loop), 0)
-				})
-				if err != nil {
-					t.Fatalf("%s: loop decode: %v", name, err)
-				}
-				if !bytes.Equal(fast, loop) {
-					t.Fatalf("%s: native frame bytes differ from the loops'", name)
-				}
-				if len(got) != rows || len(want) != rows {
-					t.Fatalf("%s: decoded %d and %d rows", name, len(got), len(want))
-				}
-				gb, wb := frameBits(got), frameBits(want)
-				if len(gb) != len(wb) {
-					t.Fatalf("%s: %d elements, loops %d", name, len(gb), len(wb))
-				}
-				for k := range wb {
-					if gb[k] != wb[k] {
-						t.Fatalf("%s: element %d decodes to %#016x, loops %#016x", name, k, gb[k], wb[k])
-					}
-				}
-				if !f32 {
-					for i := range m {
-						if !bitsEqual(got[i], m[i]) {
-							t.Fatalf("%s: row %d changed bits", name, i)
-						}
-					}
+			}
+			for i := range m {
+				if !bitsEqual(got[i], m[i]) {
+					t.Fatalf("%s: row %d changed bits", name, i)
 				}
 			}
 		}
@@ -141,17 +137,15 @@ func TestFrameBodyReadSizesMatchWriteFrame(t *testing.T) {
 		}
 		for _, cols := range []int{1, 8, 784} {
 			m := specialRows(rng, blockRowsFor(cols)+1, cols)
-			for _, f32 := range []bool{false, true} {
-				want := encodeFrame(t, m, f32)
-				row := cols * elemSize(f32)
-				for _, size := range []int{1, 7, max(1, row-1), row + 1, 32 << 10} {
-					b, err := NewFrameBody(m, f32)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := readChunked(t, b, size); !bytes.Equal(got, want) {
-						t.Fatalf("loops=%v %dx%d f32=%v reads of %d: bytes differ from WriteFrame's", loops, len(m), cols, f32, size)
-					}
+			want := encodeFrame(t, m)
+			row := cols * 8
+			for _, size := range []int{1, 7, max(1, row-1), row + 1, 32 << 10} {
+				b, err := NewFrameBody(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := readChunked(t, b, size); !bytes.Equal(got, want) {
+					t.Fatalf("loops=%v %dx%d reads of %d: bytes differ from WriteFrame's", loops, len(m), cols, size)
 				}
 			}
 		}
@@ -160,7 +154,7 @@ func TestFrameBodyReadSizesMatchWriteFrame(t *testing.T) {
 
 // TestReadFrameTruncationNamesRow: a frame cut anywhere in its first,
 // middle or last decode block fails with io.ErrUnexpectedEOF, names the row
-// the cut fell in, and answers 400; on both paths and element widths.
+// the cut fell in, and answers 400; on both paths.
 func TestReadFrameTruncationNamesRow(t *testing.T) {
 	const cols = 784
 	rows := 2*blockRowsFor(cols) + 5
@@ -169,31 +163,29 @@ func TestReadFrameTruncationNamesRow(t *testing.T) {
 		if loops {
 			withLoops(t)
 		}
-		for _, f32 := range []bool{false, true} {
-			frame := encodeFrame(t, m, f32)
-			row := cols * elemSize(f32)
-			blockBytes := blockRowsFor(cols) * row
-			var cuts []int
-			for _, start := range []int{0, blockBytes, 2 * blockBytes} {
-				cuts = append(cuts, start, start+1, start+row-1, start+row, start+3*row+17)
+		frame := encodeFrame(t, m)
+		row := cols * 8
+		blockBytes := blockRowsFor(cols) * row
+		var cuts []int
+		for _, start := range []int{0, blockBytes, 2 * blockBytes} {
+			cuts = append(cuts, start, start+1, start+row-1, start+row, start+3*row+17)
+		}
+		cuts = append(cuts, rows*row-1)
+		for _, cut := range cuts {
+			_, err := ReadFrame(bytes.NewReader(frame[:frameHeader+cut]), 0)
+			name := fmt.Sprintf("loops=%v cut at payload byte %d", loops, cut)
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s: err = %v, want ErrUnexpectedEOF", name, err)
 			}
-			cuts = append(cuts, rows*row-1)
-			for _, cut := range cuts {
-				_, err := ReadFrame(bytes.NewReader(frame[:frameHeader+cut]), 0)
-				name := fmt.Sprintf("loops=%v f32=%v cut at payload byte %d", loops, f32, cut)
-				if !errors.Is(err, io.ErrUnexpectedEOF) {
-					t.Fatalf("%s: err = %v, want ErrUnexpectedEOF", name, err)
-				}
-				if want := fmt.Sprintf("payload row %d:", cut/row); !strings.Contains(err.Error(), want) {
-					t.Fatalf("%s: %q does not name %q", name, err, want)
-				}
-				if s := DecodeStatus(err); s != http.StatusBadRequest {
-					t.Fatalf("%s: answers %d, want 400", name, s)
-				}
+			if want := fmt.Sprintf("payload row %d:", cut/row); !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: %q does not name %q", name, err, want)
 			}
-			if _, err := ReadFrame(bytes.NewReader(frame), int64(len(frame)-1)); DecodeStatus(err) != http.StatusRequestEntityTooLarge {
-				t.Fatalf("loops=%v f32=%v: frame one byte over budget gives %v, want 413", loops, f32, err)
+			if s := DecodeStatus(err); s != http.StatusBadRequest {
+				t.Fatalf("%s: answers %d, want 400", name, s)
 			}
+		}
+		if _, err := ReadFrame(bytes.NewReader(frame), int64(len(frame)-1)); DecodeStatus(err) != http.StatusRequestEntityTooLarge {
+			t.Fatalf("loops=%v: frame one byte over budget gives %v, want 413", loops, err)
 		}
 	}
 }
@@ -253,7 +245,7 @@ func TestDecodedRowAppendStaysInRow(t *testing.T) {
 		if loops {
 			withLoops(t)
 		}
-		m, err := ReadFrame(bytes.NewReader(encodeFrame(t, [][]float64{{1, 2}, {3, 4}, {5, 6}}, false)), 0)
+		m, err := ReadFrame(bytes.NewReader(encodeFrame(t, [][]float64{{1, 2}, {3, 4}, {5, 6}})), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

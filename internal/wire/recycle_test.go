@@ -59,7 +59,7 @@ func TestRecycledDecodeOverwritesDirtyBlocks(t *testing.T) {
 			name := fmt.Sprintf("loops=%v %dx%d", loops, shape.rows, shape.cols)
 			dirty := dirtyFreeList(t)
 			m := specialRows(rng, shape.rows, shape.cols)
-			frame := encodeFrame(t, m, false)
+			frame := encodeFrame(t, m)
 			var own blockSet
 			var got [][]float64
 			var err error
@@ -113,7 +113,7 @@ func TestRecycledDecodeOverwritesDirtyBlocks(t *testing.T) {
 func TestRecycledDecodeTruncatedAtEveryByte(t *testing.T) {
 	dirtyFreeList(t)
 	rows := blockRowsFor(1) // the narrowest frame that fills one block
-	frame := encodeFrame(t, specialRows(rand.New(rand.NewSource(22)), rows, 1), false)
+	frame := encodeFrame(t, specialRows(rand.New(rand.NewSource(22)), rows, 1))
 	var own blockSet
 	for cut := range len(frame) {
 		got, err := readFrame(newLimited(bytes.NewReader(frame[:cut]), 0), &own)
@@ -141,7 +141,7 @@ func TestRecycledDecodeSkipsSmallFrames(t *testing.T) {
 		for i := range m {
 			m[i] = make([]float64, shape.cols)
 		}
-		got, err := readFrame(newLimited(bytes.NewReader(encodeFrame(t, m, false)), 0), &own)
+		got, err := readFrame(newLimited(bytes.NewReader(encodeFrame(t, m)), 0), &own)
 		if err != nil || len(got) != shape.rows {
 			t.Fatalf("%dx%d: %d rows, err %v", shape.rows, shape.cols, len(got), err)
 		}
@@ -157,7 +157,7 @@ func TestRecycledDecodeSkipsSmallFrames(t *testing.T) {
 func TestExchangeReleaseWaitsForEveryReader(t *testing.T) {
 	dirtyFreeList(t)
 	m := randRows(rand.New(rand.NewSource(23)), 2*blockRowsFor(784), 784)
-	req := httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(encodeFrame(t, m, false)))
+	req := httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(encodeFrame(t, m)))
 	req.Header.Set("Content-Type", ContentTypeBinary)
 	ex := NewExchange(req, nil, 0)
 	got, err := ex.ReadMatRecycled("xs")

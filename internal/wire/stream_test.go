@@ -38,8 +38,8 @@ func readChunked(t *testing.T, r io.Reader, n int) []byte {
 }
 
 // TestStreamFrameBodyMatchesWriteFrame: the streamed body's bytes are
-// WriteFrame's, for 1, 66 and 787 rows of 1, 64 and 784 columns, in both
-// element widths, whatever the reads' size — a whole frame at once, a
+// WriteFrame's, for 1, 66 and 787 rows of 1, 64 and 784 columns, whatever
+// the reads' size — a whole frame at once, a
 // transport-sized 32 KiB, a size that splits rows at odd offsets — and
 // Len is the exact frame size.
 func TestStreamFrameBodyMatchesWriteFrame(t *testing.T) {
@@ -47,22 +47,20 @@ func TestStreamFrameBodyMatchesWriteFrame(t *testing.T) {
 	for _, rows := range []int{1, 66, 787} {
 		for _, cols := range []int{1, 64, 784} {
 			m := randRows(rng, rows, cols)
-			for _, f32 := range []bool{false, true} {
-				var want bytes.Buffer
-				if err := WriteFrame(&want, m, f32); err != nil {
+			var want bytes.Buffer
+			if err := WriteFrame(&want, m); err != nil {
+				t.Fatal(err)
+			}
+			for _, chunk := range []int{want.Len(), 32 << 10, 1000} {
+				b, err := NewFrameBody(m)
+				if err != nil {
 					t.Fatal(err)
 				}
-				for _, chunk := range []int{want.Len(), 32 << 10, 1000} {
-					b, err := NewFrameBody(m, f32)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if b.Len() != int64(want.Len()) {
-						t.Fatalf("%dx%d f32=%v: Len %d, frame is %d bytes", rows, cols, f32, b.Len(), want.Len())
-					}
-					if got := readChunked(t, b, chunk); !bytes.Equal(got, want.Bytes()) {
-						t.Fatalf("%dx%d f32=%v reads of %d: streamed bytes differ from WriteFrame's", rows, cols, f32, chunk)
-					}
+				if b.Len() != int64(want.Len()) {
+					t.Fatalf("%dx%d: Len %d, frame is %d bytes", rows, cols, b.Len(), want.Len())
+				}
+				if got := readChunked(t, b, chunk); !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("%dx%d reads of %d: streamed bytes differ from WriteFrame's", rows, cols, chunk)
 				}
 			}
 		}
@@ -71,10 +69,10 @@ func TestStreamFrameBodyMatchesWriteFrame(t *testing.T) {
 
 func TestStreamFrameBodyEmptyMatrix(t *testing.T) {
 	var want bytes.Buffer
-	if err := WriteFrame(&want, nil, false); err != nil {
+	if err := WriteFrame(&want, nil); err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewFrameBody(nil, false)
+	b, err := NewFrameBody(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +82,7 @@ func TestStreamFrameBodyEmptyMatrix(t *testing.T) {
 }
 
 func TestStreamFrameBodyRejectsRaggedRows(t *testing.T) {
-	if _, err := NewFrameBody([][]float64{{1, 2}, {3}}, false); err == nil {
+	if _, err := NewFrameBody([][]float64{{1, 2}, {3}}); err == nil {
 		t.Fatal("ragged matrix accepted")
 	}
 }
@@ -93,7 +91,7 @@ func TestStreamFrameBodyRejectsRaggedRows(t *testing.T) {
 // Close the body reads no more rows, Closed is closed, and a second Close
 // is harmless.
 func TestStreamFrameBodyCloseReleasesRows(t *testing.T) {
-	b, err := NewFrameBody(randRows(rand.New(rand.NewSource(2)), 4, 8), false)
+	b, err := NewFrameBody(randRows(rand.New(rand.NewSource(2)), 4, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 //     {"xs":[[...]]}, {"probs":[...]}), and
 //   - Binary, a length-prefixed little-endian float frame (see frame.go)
 //     that carries the same payloads at 8 bytes per float64 instead of
-//     ~18 characters, with an opt-in float32 mode at 4.
+//     ~18 characters.
 //
 // Codec choice is negotiated per request with standard HTTP content
 // negotiation: the request body's codec is named by Content-Type, the
@@ -17,11 +17,11 @@
 // /meta; clients only switch to binary after seeing the advertisement, so
 // a binary frame is never shipped to a server that cannot parse it.
 //
-// Decoding is bit-identical across codecs for float64 payloads: the binary
-// frame carries the exact IEEE-754 bits, and encoding/json's shortest
-// round-trip float formatting restores the same bits on the JSON path.
-// Float32 frames are a lossy, per-request opt-in and are excluded from the
-// bit-identity surface.
+// Decoding is bit-identical across codecs: the binary frame carries the
+// exact IEEE-754 bits, and encoding/json's shortest round-trip float
+// formatting restores the same bits on the JSON path. There is no lossy
+// mode: the interpreter's consistency check needs exact probabilities, so
+// a peer that asks for less precision still gets every bit (DESIGN.md §12).
 package wire
 
 import (
@@ -37,8 +37,7 @@ import (
 const (
 	// ContentTypeJSON is the legacy codec every peer understands.
 	ContentTypeJSON = "application/json"
-	// ContentTypeBinary is the float-frame codec. An Accept value may carry
-	// a `prec=f32` parameter to request float32 payload frames.
+	// ContentTypeBinary is the float-frame codec.
 	ContentTypeBinary = "application/x-plm-frame"
 )
 
@@ -202,13 +201,9 @@ func DecodeStatus(err error) int {
 }
 
 // AcceptValue returns the Accept header a client sends to request
-// responses in codec c; f32 additionally asks for float32 payload frames
-// (meaningful only with the binary codec).
-func AcceptValue(c Codec, f32 bool) string {
+// responses in codec c.
+func AcceptValue(c Codec) string {
 	if c.Name() == NameBinary {
-		if f32 {
-			return ContentTypeBinary + ";prec=f32"
-		}
 		return ContentTypeBinary
 	}
 	return ContentTypeJSON

@@ -106,7 +106,7 @@ func TestJSONDecodeRejectsWrongEnvelope(t *testing.T) {
 
 func TestDecodeVecRejectsMultiRowFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, [][]float64{{1}, {2}}, false); err != nil {
+	if err := WriteFrame(&buf, [][]float64{{1}, {2}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := (Binary{}).DecodeVec(&buf, 0, ""); err == nil {
@@ -115,35 +115,35 @@ func TestDecodeVecRejectsMultiRowFrame(t *testing.T) {
 }
 
 func TestWriteFrameRejectsRaggedRows(t *testing.T) {
-	if err := WriteFrame(io.Discard, [][]float64{{1, 2}, {3}}, false); err == nil {
+	if err := WriteFrame(io.Discard, [][]float64{{1, 2}, {3}}); err == nil {
 		t.Fatal("ragged frame written")
 	}
 }
 
-func TestFloat32FramesAreHalfTheBytesAndSelfDescribing(t *testing.T) {
+// TestReadFrameRefusesFlagBit0: the flags byte is reserved, so a frame with
+// bit 0 set — the retired float32 marker — is refused as unknown flags with
+// a 400, whether its payload is float32-sized or float64-sized.
+func TestReadFrameRefusesFlagBit0(t *testing.T) {
 	row := []float64{1.5, -0.25, 1.0 / 3.0}
-	var f64, f32 bytes.Buffer
-	if err := WriteFrame(&f64, [][]float64{row}, false); err != nil {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, [][]float64{row}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&f32, [][]float64{row}, true); err != nil {
-		t.Fatal(err)
+	if want := frameHeader + 8*len(row); buf.Len() != want {
+		t.Fatalf("frame is %d bytes, want %d", buf.Len(), want)
 	}
-	if want := frameHeader + 8*len(row); f64.Len() != want {
-		t.Fatalf("f64 frame is %d bytes, want %d", f64.Len(), want)
+	if buf.Bytes()[5] != 0 {
+		t.Fatalf("WriteFrame set flags %#x", buf.Bytes()[5])
 	}
-	if want := frameHeader + 4*len(row); f32.Len() != want {
-		t.Fatalf("f32 frame is %d bytes, want %d", f32.Len(), want)
-	}
-	// Decoding honors the frame's own flag, not the decoder's preference,
-	// and the payload is the float32 rounding of the source values.
-	got, err := ReadFrame(&f32, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, v := range row {
-		if want := float64(float32(v)); got[0][j] != want {
-			t.Fatalf("f32 element %d = %v, want %v", j, got[0][j], want)
+	flagged := bytes.Clone(buf.Bytes())
+	flagged[5] = 1
+	for _, raw := range [][]byte{flagged, flagged[:frameHeader+4*len(row)]} {
+		_, err := ReadFrame(bytes.NewReader(raw), 0)
+		if err == nil || !strings.Contains(err.Error(), "unknown frame flags 0x1") {
+			t.Fatalf("%d-byte frame with flags 1: err = %v, want unknown frame flags", len(raw), err)
+		}
+		if DecodeStatus(err) != http.StatusBadRequest {
+			t.Fatalf("flags 1 answers %d, want 400", DecodeStatus(err))
 		}
 	}
 }
@@ -251,7 +251,7 @@ func TestFrameReaderStreamsUnderOneBudget(t *testing.T) {
 	var buf bytes.Buffer
 	frames := [][][]float64{{{1, 2}}, {{3, 4}, {5, 6}}, {}}
 	for _, m := range frames {
-		if err := WriteFrame(&buf, m, false); err != nil {
+		if err := WriteFrame(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,8 +277,8 @@ func TestFrameReaderStreamsUnderOneBudget(t *testing.T) {
 	// its own is refused once the first has spent the allowance (admission
 	// charges a row its header besides its floats).
 	buf.Reset()
-	_ = WriteFrame(&buf, [][]float64{awkwardFloats}, false)
-	_ = WriteFrame(&buf, [][]float64{awkwardFloats}, false)
+	_ = WriteFrame(&buf, [][]float64{awkwardFloats})
+	_ = WriteFrame(&buf, [][]float64{awkwardFloats})
 	fr = NewFrameReader(&buf, int64(frameHeader+8*len(awkwardFloats)+rowHeader+frameHeader))
 	if _, err := fr.Next(); err != nil {
 		t.Fatal(err)
@@ -322,16 +322,16 @@ func TestNegotiation(t *testing.T) {
 		name                string
 		contentType, accept string
 		wantIn, wantOut     string
-		wantF32             bool
 	}{
-		{"absent headers", "", "", NameJSON, NameJSON, false},
-		{"legacy json", ContentTypeJSON, ContentTypeJSON, NameJSON, NameJSON, false},
-		{"binary both ways", ContentTypeBinary, ContentTypeBinary, NameBinary, NameBinary, false},
-		{"binary in accept list", ContentTypeJSON, "text/html, " + ContentTypeBinary + ", */*", NameJSON, NameBinary, false},
-		{"f32 parameter", ContentTypeBinary, ContentTypeBinary + ";prec=f32", NameBinary, NameBinary, true},
-		{"wildcard stays json", ContentTypeJSON, "*/*", NameJSON, NameJSON, false},
-		{"garbage headers", "not/a;;;type", ";;;", NameJSON, NameJSON, false},
-		{"charset parameter", ContentTypeJSON + "; charset=utf-8", "", NameJSON, NameJSON, false},
+		{"absent headers", "", "", NameJSON, NameJSON},
+		{"legacy json", ContentTypeJSON, ContentTypeJSON, NameJSON, NameJSON},
+		{"binary both ways", ContentTypeBinary, ContentTypeBinary, NameBinary, NameBinary},
+		{"binary in accept list", ContentTypeJSON, "text/html, " + ContentTypeBinary + ", */*", NameJSON, NameBinary},
+		// A precision parameter is ignored: the answer is float64 frames.
+		{"retired prec parameter", ContentTypeBinary, ContentTypeBinary + ";prec=f32", NameBinary, NameBinary},
+		{"wildcard stays json", ContentTypeJSON, "*/*", NameJSON, NameJSON},
+		{"garbage headers", "not/a;;;type", ";;;", NameJSON, NameJSON},
+		{"charset parameter", ContentTypeJSON + "; charset=utf-8", "", NameJSON, NameJSON},
 	}
 	for _, tc := range cases {
 		ex := NewExchange(req(tc.contentType, tc.accept), nil, 0)
@@ -341,22 +341,18 @@ func TestNegotiation(t *testing.T) {
 		if got := ex.out.Name(); got != tc.wantOut {
 			t.Fatalf("%s: response codec %s, want %s", tc.name, got, tc.wantOut)
 		}
-		bin, ok := ex.BinaryOut()
-		if ok != (tc.wantOut == NameBinary) || bin.Float32 != tc.wantF32 {
-			t.Fatalf("%s: BinaryOut = %+v %v, want f32=%v", tc.name, bin, ok, tc.wantF32)
+		if got := ex.BinaryOut(); got != (tc.wantOut == NameBinary) {
+			t.Fatalf("%s: BinaryOut = %v", tc.name, got)
 		}
 	}
 }
 
 func TestAcceptValueAndResponseBodyCodec(t *testing.T) {
-	if got := AcceptValue(JSON{}, true); got != ContentTypeJSON {
+	if got := AcceptValue(JSON{}); got != ContentTypeJSON {
 		t.Fatalf("json accept = %q", got)
 	}
-	if got := AcceptValue(Binary{}, false); got != ContentTypeBinary {
+	if got := AcceptValue(Binary{}); got != ContentTypeBinary {
 		t.Fatalf("binary accept = %q", got)
-	}
-	if got := AcceptValue(Binary{}, true); got != ContentTypeBinary+";prec=f32" {
-		t.Fatalf("f32 accept = %q", got)
 	}
 	if got := ResponseBodyCodec(ContentTypeBinary + "; prec=f32").Name(); got != NameBinary {
 		t.Fatalf("frame content type decoded as %s", got)
