@@ -438,7 +438,7 @@ type Client struct {
 	// and "" against older peers — negotiated exactly like the codec.
 	prefix string
 
-	// PingTimeout bounds each Ping/PingCtx health probe so a dead host
+	// PingTimeout bounds each PingCtx health probe so a dead host
 	// cannot stall the prober for the transport timeout. Dial sets 2s;
 	// zero disables the bound (the caller's context still applies).
 	PingTimeout time.Duration
@@ -536,11 +536,8 @@ func (c *Client) SetCodec(name string) error {
 // reaches through here for its per-remote-backend /stats breakdown.
 func (c *Client) WireCounts() wire.Counts { return c.wireStats.Counts() }
 
-// Ping checks that the server still answers its /meta endpoint under the
-// client's PingTimeout. It is the health probe remote shard backends use.
-func (c *Client) Ping() error { return c.PingCtx(context.Background()) }
-
-// PingCtx is Ping under a caller context: the probe ends at the earlier of
+// PingCtx checks that the server still answers its /meta endpoint, the
+// health probe remote shard backends use. The probe ends at the earlier of
 // the context's deadline and the client's PingTimeout, so a recovery probe
 // inherits the shard's probe budget while a caller hang-up stops it at once.
 func (c *Client) PingCtx(ctx context.Context) error {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/mat"
-	"repro/internal/openbox"
 	"repro/internal/plm"
 )
 
@@ -130,18 +129,4 @@ func (r *RemoteBench) Quality(white plm.RegionModel, methods []plm.Interpreter, 
 		RTT:        r.Agg.RTT(),
 	}
 	return rows, stats, nil
-}
-
-// QualityOverAPI is the one-shot form of RemoteBench.Quality: the model is
-// served (with the requested replica count), interpreted over the wire,
-// and the server is torn down when the run finishes. The white-box side
-// answers through a region cache — metrics ask per probe and per sample,
-// but the closed form only changes per region.
-func QualityOverAPI(model plm.RegionModel, name string, methods []plm.Interpreter, xs []mat.Vec, replicas int, cfg api.AggregatorConfig) ([]QualityRow, WireStats, error) {
-	bench, err := ServeRemote(model, name, replicas, cfg)
-	if err != nil {
-		return nil, WireStats{}, err
-	}
-	defer bench.Close()
-	return bench.Quality(openbox.CacheRegionModelOpts(model, openbox.StoreOptions{}), methods, xs)
 }

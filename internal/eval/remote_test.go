@@ -19,7 +19,12 @@ func TestQualityOverAPIMatchesLocal(t *testing.T) {
 	}
 	xs := w.Test.X[:3]
 	methods := []plm.Interpreter{core.New(core.Config{Seed: 32})}
-	rows, wire, err := QualityOverAPI(w.PLNN, "remote-plnn", methods, xs, 2, api.AggregatorConfig{Adaptive: true})
+	bench, err := ServeRemote(w.PLNN, "remote-plnn", 2, api.AggregatorConfig{Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bench.Close()
+	rows, wire, err := bench.Quality(openbox.CacheRegionModelOpts(w.PLNN, openbox.StoreOptions{}), methods, xs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,9 @@ import (
 )
 
 // WorkbenchConfig scales one experiment environment. The zero value gives a
-// small, fast configuration suitable for `go test`; PaperScale() gives the
-// paper's sizes (28x28, 60k/10k splits, the 784-256-128-100-10 network).
+// small, fast configuration suitable for `go test`; `experiments -scale
+// paper` runs the paper's sizes (28x28 images, the 784-256-128-100-10
+// network).
 type WorkbenchConfig struct {
 	Dataset   string // "mnist" or "fmnist" (default "mnist")
 	Size      int    // image side length (default 12)
@@ -48,29 +49,6 @@ func (c *WorkbenchConfig) setDefaults() {
 			MaxDepth: 6,
 			LogReg:   lmt.LogRegConfig{Epochs: 60},
 		}
-	}
-}
-
-// PaperScale returns the paper's experiment configuration: 28x28 images,
-// 10 classes, the 784-256-128-100-10 network, and the LMT stopping rules of
-// §V. Running it takes minutes rather than the milliseconds of the default.
-func PaperScale(ds string, seed int64) WorkbenchConfig {
-	return WorkbenchConfig{
-		Dataset:   ds,
-		Size:      28,
-		PerClass:  7000, // 60k train + 10k test over 10 classes
-		TestCount: 10000,
-		Hidden:    []int{256, 128, 100},
-		NNEpochs:  10,
-		LMT: lmt.Config{
-			MinLeaf:       100,
-			StopAccuracy:  0.99,
-			MaxDepth:      10,
-			MaxThresholds: 8,
-			MaxFeatures:   64,
-			LogReg:        lmt.LogRegConfig{Epochs: 120},
-		},
-		Seed: seed,
 	}
 }
 

@@ -21,6 +21,8 @@ import (
 // read a finished job's results incrementally — binary clients as a frame
 // stream off one response, JSON clients as an offset/limit page loop —
 // so the caller handles one chunk at a time however large the harvest.
+// No command ships it, so it lives beside the tests that drive the
+// protocol's client side; the server half is jobs.Runner.
 
 // jsonPageRows is the page size of the JSON fallback result loop.
 const jsonPageRows = 4096

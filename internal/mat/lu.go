@@ -394,28 +394,3 @@ func (f *LU) CondEst(a *Dense) float64 {
 	}
 	return normA / mp
 }
-
-// SolveSquare is a convenience wrapper: factor a and solve a x = b.
-func SolveSquare(a *Dense, b Vec) (Vec, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveVec(b)
-}
-
-// Inverse returns the inverse of a, or ErrSingular.
-func Inverse(a *Dense) (*Dense, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(Identity(f.n))
-}
-
-// Residual returns b - A*x, the defect of a candidate solution. The OpenAPI
-// consistency test is "does the (d+2)-th equation have a small defect?".
-func Residual(a *Dense, x, b Vec) Vec {
-	ax := a.MulVec(x)
-	return b.Sub(ax)
-}

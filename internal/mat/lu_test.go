@@ -26,9 +26,18 @@ func TestFactorSingular(t *testing.T) {
 	}
 }
 
+// solveSquare factors a and solves a x = b.
+func solveSquare(a *Dense, b Vec) (Vec, error) {
+	f, err := Factor(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.SolveVec(b)
+}
+
 func TestSolveKnownSystem(t *testing.T) {
 	a := FromRows(Vec{2, 1}, Vec{1, 3})
-	x, err := SolveSquare(a, Vec{5, 10})
+	x, err := solveSquare(a, Vec{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +50,7 @@ func TestSolveKnownSystem(t *testing.T) {
 func TestSolveNeedsPivoting(t *testing.T) {
 	// Zero in the (0,0) position forces a row swap.
 	a := FromRows(Vec{0, 1}, Vec{1, 0})
-	x, err := SolveSquare(a, Vec{3, 7})
+	x, err := solveSquare(a, Vec{3, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +87,15 @@ func TestDet(t *testing.T) {
 	}
 }
 
+// TestInverse: solving against the identity gives the inverse.
 func TestInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randDense(rng, 6, 6)
-	inv, err := Inverse(a)
+	f, err := Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := f.Solve(Identity(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +118,6 @@ func TestSolveMultiRHS(t *testing.T) {
 	}
 	if !a.Mul(x).EqualApprox(b, 1e-9) {
 		t.Fatal("A X != B")
-	}
-}
-
-func TestResidual(t *testing.T) {
-	a := FromRows(Vec{1, 0}, Vec{0, 1})
-	r := Residual(a, Vec{1, 1}, Vec{3, 1})
-	if !r.EqualApprox(Vec{2, 0}, 0) {
-		t.Fatalf("Residual = %v", r)
 	}
 }
 
@@ -154,7 +160,7 @@ func TestPropertyLUSolveRoundTrip(t *testing.T) {
 			want[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(want)
-		got, err := SolveSquare(a, b)
+		got, err := solveSquare(a, b)
 		if err != nil {
 			return false
 		}

@@ -44,7 +44,7 @@ func TestQRSquareSolveMatchesLU(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	xlu, err := SolveSquare(a, b)
+	xlu, err := solveSquare(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

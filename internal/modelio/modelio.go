@@ -69,15 +69,3 @@ func LoadInstance(path string) (mat.Vec, error) {
 	}
 	return x, nil
 }
-
-// SaveInstance writes a feature vector as a JSON number array.
-func SaveInstance(path string, x mat.Vec) error {
-	data, err := json.Marshal([]float64(x))
-	if err != nil {
-		return fmt.Errorf("modelio: marshal instance: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("modelio: write %s: %w", path, err)
-	}
-	return nil
-}

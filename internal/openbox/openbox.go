@@ -94,22 +94,6 @@ func PatternKey(pattern []bool) string {
 	return fmt.Sprintf("plnn-%d-%016x", len(pattern), h.Sum64())
 }
 
-// SameRegion reports whether two instances share a locally linear region of
-// the network (identical activation patterns).
-func SameRegion(n *nn.Network, a, b mat.Vec) bool {
-	pa := n.ActivationPattern(a)
-	pb := n.ActivationPattern(b)
-	if len(pa) != len(pb) {
-		return false
-	}
-	for i := range pa {
-		if pa[i] != pb[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // PLNN adapts an nn.Network to the plm.RegionModel interface, giving the
 // evaluation harness a uniform white-box view of the network.
 type PLNN struct {
