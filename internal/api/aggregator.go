@@ -255,7 +255,7 @@ func (a *Aggregator) submit(xs []mat.Vec) ([]mat.Vec, error) {
 		if _, ok := a.inner.(plm.BatchPredictor); ok {
 			a.flushes.Add(1)
 		}
-		return predictAllErr(a.inner, xs)
+		return plm.PredictAll(a.inner, xs)
 	}
 	a.flush(batch)
 	<-w.done
@@ -325,7 +325,7 @@ func (a *Aggregator) flush(batch []*aggWaiter) {
 		a.flushes.Add(1)
 	}
 	start := time.Now()
-	ys, err := predictAllErr(a.inner, xs)
+	ys, err := plm.PredictAll(a.inner, xs)
 	if a.cfg.Adaptive && err == nil {
 		a.observeRTT(time.Since(start))
 	}
@@ -339,27 +339,6 @@ func (a *Aggregator) flush(batch []*aggWaiter) {
 		off += len(w.xs)
 		close(w.done)
 	}
-}
-
-// predictAllErr is plm.PredictAll with the batch error surfaced instead of
-// swallowed, so PredictBatch callers see the failure directly. Callers that
-// reach the aggregator through plm.PredictAll still get that helper's
-// per-probe fallback (each probe re-submitted individually, failures
-// degrading to uniform with a sticky record) — the Client convention: check
-// Err when the interpretation run finishes.
-func predictAllErr(m plm.Model, xs []mat.Vec) ([]mat.Vec, error) {
-	if bp, ok := m.(plm.BatchPredictor); ok {
-		out, err := bp.PredictBatch(xs)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	out := make([]mat.Vec, len(xs))
-	for i, x := range xs {
-		out[i] = m.Predict(x)
-	}
-	return out, nil
 }
 
 // DialAggregated dials a served model and wraps the client in an

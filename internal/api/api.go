@@ -46,14 +46,7 @@ func (c *Counter) Classes() int { return c.inner.Classes() }
 // endpoint when present), counting one query per item.
 func (c *Counter) PredictBatch(xs []mat.Vec) ([]mat.Vec, error) {
 	c.n.Add(int64(len(xs)))
-	if bp, ok := c.inner.(plm.BatchPredictor); ok {
-		return bp.PredictBatch(xs)
-	}
-	out := make([]mat.Vec, len(xs))
-	for i, x := range xs {
-		out[i] = c.inner.Predict(x)
-	}
-	return out, nil
+	return plm.PredictAll(c.inner, xs)
 }
 
 // Count returns the number of Predict calls so far.
@@ -111,7 +104,7 @@ func (f *Flaky) Predict(x mat.Vec) mat.Vec {
 // failure (that's the chaos package's job).
 func (f *Flaky) PredictBatch(xs []mat.Vec) ([]mat.Vec, error) {
 	bad := f.rollRows(len(xs))
-	ys, err := predictAllErr(f.inner, xs)
+	ys, err := plm.PredictAll(f.inner, xs)
 	if err != nil {
 		return nil, err
 	}

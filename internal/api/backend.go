@@ -111,7 +111,7 @@ func (b *localBackend) PredictBatch(ctx context.Context, xs []mat.Vec) ([]mat.Ve
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return predictAllErr(b.model, xs)
+	return plm.PredictAll(b.model, xs)
 }
 
 func (b *localBackend) Stats() BackendStats {

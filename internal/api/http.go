@@ -325,7 +325,7 @@ func (s *Server) predictRows(ctx context.Context, xs []mat.Vec) ([]mat.Vec, erro
 	if cb, ok := s.model.(ctxBatchPredictor); ok {
 		return cb.PredictBatchCtx(ctx, xs)
 	}
-	return predictAllErr(s.model, xs)
+	return plm.PredictAll(s.model, xs)
 }
 
 // ctxBatchPredictor is the deadline-aware refinement of plm.BatchPredictor.

@@ -169,7 +169,7 @@ func (rc *ResponseCache) PredictBatchCtx(ctx context.Context, xs []mat.Vec) ([]m
 	if cb, ok := rc.inner.(ctxBatchPredictor); ok {
 		ys, err = cb.PredictBatchCtx(ctx, missXs)
 	} else {
-		ys, err = predictAllErr(rc.inner, missXs)
+		ys, err = plm.PredictAll(rc.inner, missXs)
 	}
 	if err != nil {
 		return nil, err

@@ -112,8 +112,11 @@ func (o *OpenAPI) Interpret(model plm.Model, x0 mat.Vec, c int) (*plm.Interpreta
 	// The anchor probe goes through the batch path so it coalesces with
 	// concurrent callers when the model aggregates queries (api.Aggregator);
 	// against a plain model this is the same single Predict as before.
-	y0 := plm.PredictAll(model, []mat.Vec{x0})[0]
-	return o.interpret(model, x0, y0, c)
+	ys, err := plm.PredictAll(model, []mat.Vec{x0})
+	if err != nil {
+		return nil, fmt.Errorf("core: anchor probe: %w", err)
+	}
+	return o.interpret(model, x0, ys[0], c)
 }
 
 // InterpretWithPrediction is Interpret for callers that already hold the
@@ -174,8 +177,12 @@ func (o *OpenAPI) interpret(model plm.Model, x0, y0 mat.Vec, c int) (*plm.Interp
 		cube := sample.NewHypercube(x0, r)
 		pts := cube.SampleN(o.cfg.RNG, d+o.cfg.ExtraChecks)
 		// One batch round trip when the API supports it, per-point probes
-		// otherwise; either way each point costs one query.
-		ys, f := o.probeWhileFactoring(model, x0, pts, design)
+		// otherwise; either way each point costs one query. A failed probe
+		// ends the interpretation: no round can be checked without answers.
+		ys, f, err := o.probeWhileFactoring(model, x0, pts, design)
+		if err != nil {
+			return nil, fmt.Errorf("core: round %d probe: %w", iter, err)
+		}
 		queries += len(pts)
 
 		pairs, ok := o.solve(f, design, y0, ys, c, cps, bufs)
@@ -212,9 +219,9 @@ func (o *OpenAPI) interpret(model plm.Model, x0, y0 mat.Vec, c int) (*plm.Interp
 // goroutine fills the round's design matrix from x0 and pts and factors
 // it, and returns once both are done. The probe reads only pts, so the
 // fill is off the round's serial path too. The factor goroutine is joined
-// on every way out, a panicking model included, so none outlives the
-// round.
-func (o *OpenAPI) probeWhileFactoring(model plm.Model, x0 mat.Vec, pts []mat.Vec, design *mat.Dense) ([]mat.Vec, roundFactor) {
+// on every way out, a failed probe and a panicking model included, so none
+// outlives the round.
+func (o *OpenAPI) probeWhileFactoring(model plm.Model, x0 mat.Vec, pts []mat.Vec, design *mat.Dense) ([]mat.Vec, roundFactor, error) {
 	var f roundFactor
 	done := make(chan struct{})
 	go func() {
@@ -223,9 +230,9 @@ func (o *OpenAPI) probeWhileFactoring(model plm.Model, x0 mat.Vec, pts []mat.Vec
 		f = o.factor(design)
 	}()
 	defer func() { <-done }() // a panicking model unwinds through here
-	ys := plm.PredictAll(model, pts)
+	ys, err := plm.PredictAll(model, pts)
 	<-done
-	return ys, f
+	return ys, f, err
 }
 
 // pairSolution is one recovered core-parameter tuple.

@@ -467,3 +467,34 @@ func TestInterpretBitIdenticalOverBatchedForward(t *testing.T) {
 		}
 	}
 }
+
+// errBatchDown is what failingBatchModel's batch endpoint answers.
+var errBatchDown = errors.New("batch endpoint down")
+
+// failingBatchModel answers single predictions but fails every batch.
+type failingBatchModel struct{ plm.Model }
+
+func (failingBatchModel) PredictBatch([]mat.Vec) ([]mat.Vec, error) { return nil, errBatchDown }
+
+// TestFailedBatchReturnsItsError: a model whose batch endpoint fails gets
+// that error back from Interpret, InterpretWithPrediction and every
+// instance of Pool.InterpretMany, never an Interpretation built from
+// per-instance retries.
+func TestFailedBatchReturnsItsError(t *testing.T) {
+	model := plnnModel(91, 6, 8, 3)
+	rng := rand.New(rand.NewSource(92))
+	xs := []mat.Vec{randVec(rng, 6), randVec(rng, 6)}
+	down := failingBatchModel{model}
+	c := model.Predict(xs[0]).ArgMax()
+	if in, err := New(Config{Seed: 93}).Interpret(down, xs[0], c); !errors.Is(err, errBatchDown) || in != nil {
+		t.Fatalf("Interpret = %v, %v; want errBatchDown", in, err)
+	}
+	if in, err := New(Config{Seed: 93}).InterpretWithPrediction(down, xs[0], model.Predict(xs[0]), c); !errors.Is(err, errBatchDown) || in != nil {
+		t.Fatalf("InterpretWithPrediction = %v, %v; want errBatchDown", in, err)
+	}
+	for _, r := range NewPool(Config{Seed: 94}, 2).InterpretMany(down, xs) {
+		if !errors.Is(r.Err, errBatchDown) || r.Interp != nil {
+			t.Fatalf("instance %d: %v, %v; want errBatchDown", r.Index, r.Interp, r.Err)
+		}
+	}
+}

@@ -22,14 +22,21 @@ import (
 // (solveAllSerial).
 func (o *OpenAPI) interpretSerialReference(model plm.Model, x0 mat.Vec, c int) (*plm.Interpretation, error) {
 	o.cfg.setDefaults()
-	y0 := plm.PredictAll(model, []mat.Vec{x0})[0]
+	y0s, err := plm.PredictAll(model, []mat.Vec{x0})
+	if err != nil {
+		return nil, err
+	}
+	y0 := y0s[0]
 	d := model.Dim()
 	C := model.Classes()
 	queries := 1
 	r := o.cfg.InitialEdge
 	for iter := 1; iter <= o.cfg.MaxIterations; iter++ {
 		pts := sample.NewHypercube(x0, r).SampleN(o.cfg.RNG, d+o.cfg.ExtraChecks)
-		ys := plm.PredictAll(model, pts)
+		ys, err := plm.PredictAll(model, pts)
+		if err != nil {
+			return nil, err
+		}
 		queries += len(pts)
 		pairs, ok := o.solveAllSerial(x0, y0, pts, ys, c, C)
 		if !ok {
@@ -180,8 +187,8 @@ func (m panicModel) PredictBatch(xs []mat.Vec) ([]mat.Vec, error) {
 }
 
 // TestOverlapJoinsFactorGoroutine: no factor goroutine outlives Interpret
-// on success, on ErrNoConvergence, when the model's probes fail or when
-// the model panics mid-round. d = 200 makes each factor take long enough
+// on success, on ErrNoConvergence, when the model's probes are corrupted or
+// fail outright, or when the model panics mid-round. d = 200 makes each factor take long enough
 // that an unjoined one would still be running.
 func TestOverlapJoinsFactorGoroutine(t *testing.T) {
 	const d = 200
@@ -202,6 +209,14 @@ func TestOverlapJoinsFactorGoroutine(t *testing.T) {
 		t.Fatal("fault injector never fired")
 	}
 	assertFactorJoined(t, "failing probes")
+
+	// A batch that errors ends the interpretation in its first round, with
+	// the factor of that round already started.
+	down := failingBatchModel{model}
+	if _, err := New(Config{Seed: 87}).InterpretWithPrediction(down, x0, model.Predict(x0), c); !errors.Is(err, errBatchDown) {
+		t.Fatalf("failing batch: err = %v, want errBatchDown", err)
+	}
+	assertFactorJoined(t, "failing batch")
 
 	func() {
 		defer func() {

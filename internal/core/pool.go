@@ -58,9 +58,9 @@ type Result struct {
 // sample-set probes are in flight; wrap the model in an api.Aggregator to
 // coalesce those concurrent probes into shared round trips.
 //
-// Remote models degrade transport failures to uniform responses and record
-// them stickily rather than erroring per probe, so a Result can be clean
-// while the wire was not: after a run against an api.Client or
+// A batch that fails fails every instance it carried, with the batch's
+// error. Remote models still degrade a failed single Predict to a uniform
+// response and record it stickily, so after a run against an api.Client or
 // api.Aggregator, check its Err before trusting the interpretations.
 func (p *Pool) InterpretMany(model plm.Model, xs []mat.Vec) []Result {
 	results := make([]Result, len(xs))
@@ -93,7 +93,13 @@ func (p *Pool) InterpretMany(model plm.Model, xs []mat.Vec) []Result {
 	if se, ok := model.(interface{ Err() error }); ok {
 		stale = se.Err()
 	}
-	ys := plm.PredictAll(model, vxs)
+	ys, err := plm.PredictAll(model, vxs)
+	if err != nil {
+		for _, i := range valid {
+			results[i] = Result{Index: i, Err: fmt.Errorf("core: argmax pre-query failed: %w", err)}
+		}
+		return results
+	}
 	y0s := make([]mat.Vec, len(xs))
 	for j, i := range valid {
 		y0s[i] = ys[j]

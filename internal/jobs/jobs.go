@@ -375,18 +375,9 @@ func (j *job) finish(probs [][]float64, regions []Region, census *eval.SweepRepo
 // a shard that is the load-aware backend fan-out, for a bare model the
 // batched GEMM forward.
 func (r *Runner) runPredict(xs []mat.Vec) ([][]float64, error) {
-	var ys []mat.Vec
-	if bp, ok := r.model.(plm.BatchPredictor); ok {
-		out, err := bp.PredictBatch(xs)
-		if err != nil {
-			return nil, err
-		}
-		ys = out
-	} else {
-		ys = make([]mat.Vec, len(xs))
-		for i, x := range xs {
-			ys[i] = r.model.Predict(x)
-		}
+	ys, err := plm.PredictAll(r.model, xs)
+	if err != nil {
+		return nil, err
 	}
 	out := make([][]float64, len(ys))
 	for i, y := range ys {

@@ -45,8 +45,8 @@ func (f *fakeBatchModel) PredictBatch(xs []mat.Vec) ([]mat.Vec, error) {
 func TestPredictAllUsesBatchWhenAvailable(t *testing.T) {
 	m := &fakeBatchModel{}
 	xs := []mat.Vec{{1}, {2}, {3}}
-	out := PredictAll(m, xs)
-	if len(out) != 3 {
+	out, err := PredictAll(m, xs)
+	if err != nil || len(out) != 3 {
 		t.Fatalf("got %d results", len(out))
 	}
 	if m.batchCall != 1 || m.perCall != 0 {
@@ -57,39 +57,45 @@ func TestPredictAllUsesBatchWhenAvailable(t *testing.T) {
 	}
 }
 
-func TestPredictAllFallsBackOnBatchError(t *testing.T) {
+// TestPredictAllReturnsBatchError: a failed batch comes back as its error,
+// with no per-instance retry behind it.
+func TestPredictAllReturnsBatchError(t *testing.T) {
 	m := &fakeBatchModel{fakeModel: fakeModel{failBatch: true}}
 	xs := []mat.Vec{{1}, {2}}
-	out := PredictAll(m, xs)
-	if len(out) != 2 || out[0][0] != 0.5 {
-		t.Fatal("fallback results wrong")
+	out, err := PredictAll(m, xs)
+	if err == nil || out != nil {
+		t.Fatalf("failed batch gave %v, err %v", out, err)
 	}
-	if m.perCall != 2 {
-		t.Fatalf("per-instance calls = %d", m.perCall)
+	if m.batchCall != 1 || m.perCall != 0 {
+		t.Fatalf("batch=%d per=%d, want one batch and no per-instance calls", m.batchCall, m.perCall)
 	}
 }
 
-func TestPredictAllFallsBackOnShortBatch(t *testing.T) {
+// TestPredictAllRefusesShortBatch: a batch that answers fewer inputs than
+// it was asked is an error, not a partial answer.
+func TestPredictAllRefusesShortBatch(t *testing.T) {
 	m := &fakeBatchModel{fakeModel: fakeModel{shortBatch: true}}
 	xs := []mat.Vec{{1}, {2}}
-	out := PredictAll(m, xs)
-	if len(out) != 2 || out[1][0] != 0.5 {
-		t.Fatal("short batch should trigger fallback")
+	if out, err := PredictAll(m, xs); err == nil || out != nil {
+		t.Fatalf("short batch gave %v, err %v", out, err)
+	}
+	if m.perCall != 0 {
+		t.Fatalf("per-instance calls = %d", m.perCall)
 	}
 }
 
 func TestPredictAllPlainModel(t *testing.T) {
 	m := &fakeModel{}
 	xs := []mat.Vec{{1}, {2}, {3}, {4}}
-	out := PredictAll(m, xs)
-	if len(out) != 4 || m.perCall != 4 {
+	out, err := PredictAll(m, xs)
+	if err != nil || len(out) != 4 || m.perCall != 4 {
 		t.Fatalf("plain path wrong: %d results, %d calls", len(out), m.perCall)
 	}
 }
 
 func TestPredictAllEmpty(t *testing.T) {
 	m := &fakeModel{}
-	if out := PredictAll(m, nil); len(out) != 0 {
+	if out, err := PredictAll(m, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty input gave %d results", len(out))
 	}
 }

@@ -37,20 +37,26 @@ type BatchPredictor interface {
 	PredictBatch(xs []mat.Vec) ([]mat.Vec, error)
 }
 
-// PredictAll evaluates the model on every input, using the batch endpoint
-// when the model offers one and transparently falling back otherwise.
-func PredictAll(m Model, xs []mat.Vec) []mat.Vec {
+// PredictAll evaluates the model on every input: one PredictBatch call
+// when the model offers a batch endpoint, per-instance Predict otherwise.
+// A failed batch returns its error; it is never retried row by row, since a
+// model whose batch failed would answer the retries no better.
+func PredictAll(m Model, xs []mat.Vec) ([]mat.Vec, error) {
 	if bp, ok := m.(BatchPredictor); ok {
-		if out, err := bp.PredictBatch(xs); err == nil && len(out) == len(xs) {
-			return out
+		out, err := bp.PredictBatch(xs)
+		if err != nil {
+			return nil, err
 		}
-		// Fall through to per-instance probing on any batch failure.
+		if len(out) != len(xs) {
+			return nil, fmt.Errorf("plm: batch answered %d of %d inputs", len(out), len(xs))
+		}
+		return out, nil
 	}
 	out := make([]mat.Vec, len(xs))
 	for i, x := range xs {
 		out[i] = m.Predict(x)
 	}
-	return out
+	return out, nil
 }
 
 // RegionModel is the white-box view used only for ground truth and the

@@ -134,6 +134,55 @@ func TestAxisPairs(t *testing.T) {
 	}
 }
 
+func TestUniformVecRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	v := UniformVec(rng, 1000, -2, 3)
+	for _, x := range v {
+		if x < -2 || x >= 3 {
+			t.Fatalf("value %v outside [-2, 3)", x)
+		}
+	}
+}
+
+func TestGaussianVecMoments(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	v := GaussianVec(rng, 50000, 10, 2)
+	if math.Abs(v.Mean()-10) > 0.1 {
+		t.Fatalf("mean = %v", v.Mean())
+	}
+	var ss float64
+	for _, x := range v {
+		dx := x - 10
+		ss += dx * dx
+	}
+	sd := math.Sqrt(ss / float64(len(v)))
+	if math.Abs(sd-2) > 0.1 {
+		t.Fatalf("sd = %v", sd)
+	}
+}
+
+func TestSubsample(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	idx := Subsample(rng, 100, 10)
+	if len(idx) != 10 {
+		t.Fatalf("len = %d", len(idx))
+	}
+	seen := map[int]bool{}
+	for _, i := range idx {
+		if i < 0 || i >= 100 {
+			t.Fatalf("index %d out of range", i)
+		}
+		if seen[i] {
+			t.Fatalf("duplicate index %d", i)
+		}
+		seen[i] = true
+	}
+	all := Subsample(rng, 5, 10)
+	if len(all) != 5 {
+		t.Fatalf("k>n should return all: len = %d", len(all))
+	}
+}
+
 func TestLinearPath(t *testing.T) {
 	path := LinearPath(mat.Vec{0, 0}, mat.Vec{2, 4}, 4)
 	if len(path) != 5 {
@@ -171,7 +220,7 @@ func TestPropertySamplesInsideCube(t *testing.T) {
 		if math.IsNaN(edge) || math.IsInf(edge, 0) || edge < 0 || edge > 1e6 {
 			edge = 1
 		}
-		c := gaussianVec(rng, d, 0, 3)
+		c := GaussianVec(rng, d, 0, 3)
 		h := NewHypercube(c, edge)
 		for _, p := range h.SampleN(rng, 20) {
 			if !h.Contains(p) {
@@ -190,7 +239,7 @@ func TestPropertyAxisPairsStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	f := func(d8 uint8) bool {
 		d := int(d8%12) + 1
-		x := gaussianVec(rng, d, 0, 1)
+		x := GaussianVec(rng, d, 0, 1)
 		h := 0.25
 		for i, pair := range AxisPairs(x, h) {
 			for j := 0; j < d; j++ {
@@ -211,13 +260,4 @@ func TestPropertyAxisPairsStructure(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// gaussianVec draws a d-dimensional vector with N(mean, sd^2) entries.
-func gaussianVec(rng *rand.Rand, d int, mean, sd float64) mat.Vec {
-	v := make(mat.Vec, d)
-	for i := range v {
-		v[i] = mean + sd*rng.NormFloat64()
-	}
-	return v
 }
