@@ -451,11 +451,11 @@ func TestShardStatsReachThroughRemoteWireCounters(t *testing.T) {
 	}
 }
 
-// TestRetiredFloat32RequestsGetExactFrames: the float32 payload mode is
+// TestBinaryFloat32RequestsGetExactFrames: the float32 payload mode is
 // gone. A /v1/batch frame with flags bit 0 set answers 400, and a request
 // whose Accept still asks for prec=f32 gets float64 frames whose bits equal
 // a plain binary request's answer.
-func TestRetiredFloat32RequestsGetExactFrames(t *testing.T) {
+func TestBinaryFloat32RequestsGetExactFrames(t *testing.T) {
 	_, ts := newTestServer(t)
 	var rows [][]float64
 	for _, x := range wireProbes() {
