@@ -40,6 +40,11 @@ func FuzzBinaryFrame(f *testing.F) {
 	// large stalls a short fuzz burst; the unit tests decode whole ones.
 	f.Add(seed(benchRows(2*frameBlock/(8+rowHeader)+1, 1))[:frameHeader+64])
 	f.Add(seed([][]float64{}))
+	// A zero-row frame with the retired float32 flag: an empty payload
+	// does not excuse a nonzero flags byte.
+	flaggedEmpty := seed(nil)
+	flaggedEmpty[5] = 1
+	f.Add(flaggedEmpty)
 	f.Add([]byte{})
 	f.Add([]byte(frameMagic))
 	f.Add([]byte(frameMagic + "\x01\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
