@@ -37,8 +37,9 @@
 // atlas-bearing router pulls the snapshot on register and starts warm.
 // Async census jobs (POST /jobs with op "census") sweep probes around
 // submitted anchors purely to populate the store ahead of demand; /stats
-// grows an "atlas" section (regions, bytes, hits, cold_misses,
-// census_progress).
+// reports the store's size, bytes, hits, misses and evictions under
+// caches.regions, and grows an "atlas" section with what that lacks
+// (quarantined, compositions, census_done, census_total, census_progress).
 //
 // With -hedge the shard router speculatively re-dispatches chunks that sit
 // on one backend past an adaptive threshold (a multiple of that backend's
@@ -358,35 +359,7 @@ func main() {
 		log.Fatalf("-jobs %d: need >= 0", *jobsN)
 	}
 	if store != nil {
-		srv.SetRegionSource(store.Lookup)
-		srv.AddStoreStats("regions", store.Stats)
-		srv.Handle("GET /atlas/snapshot", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			if _, err := store.WriteSnapshot(w); err != nil {
-				log.Printf("atlas snapshot: %v", err)
-			}
-		})
-		srv.SetAtlasStatus(func() api.AtlasStatus {
-			st := store.Stats()
-			as := api.AtlasStatus{
-				Regions:     st.Size,
-				Bytes:       st.Bytes,
-				Hits:        st.Hits,
-				ColdMisses:  st.Misses,
-				Quarantined: store.Quarantined(),
-			}
-			if reporter != nil {
-				as.Compositions = reporter.RegionCompositions()
-			}
-			if runner != nil {
-				done, total := runner.CensusProgress()
-				as.CensusDone, as.CensusTotal = done, total
-				if total > 0 {
-					as.CensusProgress = float64(done) / float64(total)
-				}
-			}
-			return as
-		})
+		mountAtlas(srv, store, reporter, runner)
 		endpoints += ", GET /regions/{key}, GET /atlas/snapshot"
 	}
 	fmt.Printf("serving %s (%d features, %d classes, %d local replica(s), %d remote backend(s)) on %s\n",
@@ -460,4 +433,33 @@ func main() {
 		_ = httpSrv.Shutdown(shutCtx)
 		cancel()
 	}
+}
+
+// mountAtlas wires a region atlas into srv: GET /regions/{key}, GET
+// /atlas/snapshot, the store's own numbers under /stats caches.regions, and
+// the /stats atlas section with what caches.regions lacks (quarantined
+// records, compositions, census progress). reporter and runner may be nil.
+func mountAtlas(srv *api.Server, store *atlas.Atlas, reporter openbox.StoreReporter, runner *jobs.Runner) {
+	srv.SetRegionSource(store.Lookup)
+	srv.AddStoreStats("regions", store.Stats)
+	srv.Handle("GET /atlas/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		if _, err := store.WriteSnapshot(w); err != nil {
+			log.Printf("atlas snapshot: %v", err)
+		}
+	})
+	srv.SetAtlasStatus(func() api.AtlasStatus {
+		as := api.AtlasStatus{Quarantined: store.Quarantined()}
+		if reporter != nil {
+			as.Compositions = reporter.RegionCompositions()
+		}
+		if runner != nil {
+			done, total := runner.CensusProgress()
+			as.CensusDone, as.CensusTotal = done, total
+			if total > 0 {
+				as.CensusProgress = float64(done) / float64(total)
+			}
+		}
+		return as
+	})
 }

@@ -314,21 +314,14 @@ func TestAtlasColdStartServesCensusedRegions(t *testing.T) {
 		}
 		srv := api.NewServer(m, "atlas-test")
 		runner.Mount(srv)
-		srv.SetRegionSource(a.Lookup)
-		srv.SetAtlasStatus(func() api.AtlasStatus {
-			st := a.Stats()
-			done, total := runner.CensusProgress()
-			return api.AtlasStatus{
-				Regions: st.Size, Bytes: st.Bytes, Hits: st.Hits, ColdMisses: st.Misses,
-				Compositions: reporter.RegionCompositions(),
-				CensusDone:   done, CensusTotal: total,
-			}
-		})
+		mountAtlas(srv, a, reporter, runner)
 		ts := httptest.NewServer(srv)
 		return ts, a, reporter, runner
 	}
 
-	getStats := func(url string) api.AtlasStatus {
+	// getStats returns the region store's numbers (caches.regions) and the
+	// atlas section of /stats.
+	getStats := func(url string) (plm.StoreStats, api.AtlasStatus) {
 		t.Helper()
 		resp, err := http.Get(url + "/v1/stats")
 		if err != nil {
@@ -336,15 +329,20 @@ func TestAtlasColdStartServesCensusedRegions(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		var stats struct {
-			Atlas *api.AtlasStatus `json:"atlas"`
+			Caches map[string]plm.StoreStats `json:"caches"`
+			Atlas  *api.AtlasStatus          `json:"atlas"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 			t.Fatal(err)
 		}
+		regions, ok := stats.Caches["regions"]
+		if !ok {
+			t.Fatal("/stats has no caches.regions section")
+		}
 		if stats.Atlas == nil {
 			t.Fatal("/stats has no atlas section")
 		}
-		return *stats.Atlas
+		return regions, *stats.Atlas
 	}
 
 	pollDone := func(url, id string) jobs.View {
@@ -413,9 +411,9 @@ func TestAtlasColdStartServesCensusedRegions(t *testing.T) {
 	if warm.Status != jobs.StatusDone || len(warm.Regions) == 0 {
 		t.Fatalf("warm interpret ended %s with %d regions", warm.Status, len(warm.Regions))
 	}
-	warmStats := getStats(ts1.URL)
-	if warmStats.Regions == 0 || warmStats.Compositions == 0 {
-		t.Fatalf("warm atlas stats = %+v, want regions and compositions > 0", warmStats)
+	warmStore, warmStats := getStats(ts1.URL)
+	if warmStore.Size == 0 || warmStats.Compositions == 0 {
+		t.Fatalf("warm stats = %+v / %+v, want regions and compositions > 0", warmStore, warmStats)
 	}
 	if warmStats.CensusDone != 64 || warmStats.CensusTotal != 64 {
 		t.Fatalf("census progress %d/%d, want 64/64", warmStats.CensusDone, warmStats.CensusTotal)
@@ -432,9 +430,9 @@ func TestAtlasColdStartServesCensusedRegions(t *testing.T) {
 	ts2, a2, rep2, _ := build()
 	defer ts2.Close()
 	defer a2.Close()
-	coldStats := getStats(ts2.URL)
-	if coldStats.Regions != warmStats.Regions {
-		t.Fatalf("cold atlas recovered %d regions, warm had %d", coldStats.Regions, warmStats.Regions)
+	coldStore, _ := getStats(ts2.URL)
+	if coldStore.Size != warmStore.Size {
+		t.Fatalf("cold atlas recovered %d regions, warm had %d", coldStore.Size, warmStore.Size)
 	}
 	cold := pollDone(ts2.URL, submit(ts2.URL, encode("interpret", 0)).ID)
 	if cold.Status != jobs.StatusDone {
@@ -443,9 +441,9 @@ func TestAtlasColdStartServesCensusedRegions(t *testing.T) {
 	if got := rep2.RegionCompositions(); got != 0 {
 		t.Fatalf("cold process composed %d regions, want 0 — the atlas was supposed to answer", got)
 	}
-	after := getStats(ts2.URL)
-	if after.Compositions != 0 || after.ColdMisses != 0 {
-		t.Fatalf("cold atlas stats = %+v, want 0 compositions and 0 cold misses", after)
+	afterStore, after := getStats(ts2.URL)
+	if after.Compositions != 0 || afterStore.Misses != 0 {
+		t.Fatalf("cold stats = %+v / %+v, want 0 compositions and 0 cold misses", afterStore, after)
 	}
 	if len(cold.Regions) != len(warm.Regions) {
 		t.Fatalf("cold harvest has %d regions, warm had %d", len(cold.Regions), len(warm.Regions))
@@ -513,16 +511,7 @@ func TestAtlasSnapshotWarmsJoiningWorker(t *testing.T) {
 	srv := api.NewServer(white, "router")
 	reg.Mount(srv)
 	runner.Mount(srv)
-	srv.SetAtlasStatus(func() api.AtlasStatus {
-		st := routerAtlas.Stats()
-		return api.AtlasStatus{Regions: st.Size, Bytes: st.Bytes}
-	})
-	srv.Handle("GET /atlas/snapshot", func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "application/octet-stream")
-		if _, err := routerAtlas.WriteSnapshot(rw); err != nil {
-			t.Errorf("snapshot write: %v", err)
-		}
-	})
+	mountAtlas(srv, routerAtlas, nil, runner)
 	router := httptest.NewServer(srv)
 	defer router.Close()
 

@@ -54,14 +54,11 @@ type metaResponse struct {
 	APIVersion int `json:"api_version,omitempty"`
 }
 
-// AtlasStatus is the /stats section a mounted region atlas fills in: the
-// durable store's size and traffic, how many closed forms this process
-// actually composed, and census sweep progress.
+// AtlasStatus is the /stats section a mounted region atlas fills in with
+// what the store's own numbers (under caches.regions) lack: records
+// quarantined as corrupt, how many closed forms this process actually
+// composed, and census sweep progress.
 type AtlasStatus struct {
-	Regions      int   `json:"regions"`
-	Bytes        int64 `json:"bytes"`
-	Hits         int64 `json:"hits"`
-	ColdMisses   int64 `json:"cold_misses"`
 	Quarantined  int64 `json:"quarantined"`
 	Compositions int64 `json:"compositions"`
 	// Census progress: instances swept so far out of the submitted total

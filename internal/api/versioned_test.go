@@ -191,8 +191,7 @@ func TestStatsUnifiedCachesAndAtlasSections(t *testing.T) {
 		return plm.StoreStats{Hits: 3, Misses: 1, Evictions: 0, Size: 2, Bytes: 160}
 	})
 	srv.SetAtlasStatus(func() AtlasStatus {
-		return AtlasStatus{Regions: 7, Bytes: 560, Hits: 3, ColdMisses: 1,
-			Compositions: 2, CensusDone: 5, CensusTotal: 10, CensusProgress: 0.5}
+		return AtlasStatus{Quarantined: 1, Compositions: 2, CensusDone: 5, CensusTotal: 10, CensusProgress: 0.5}
 	})
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -213,7 +212,7 @@ func TestStatsUnifiedCachesAndAtlasSections(t *testing.T) {
 	if stats.Atlas == nil {
 		t.Fatal("atlas section absent")
 	}
-	if stats.Atlas.Regions != 7 || stats.Atlas.Compositions != 2 || stats.Atlas.CensusProgress != 0.5 {
+	if stats.Atlas.Quarantined != 1 || stats.Atlas.Compositions != 2 || stats.Atlas.CensusProgress != 0.5 {
 		t.Fatalf("atlas section = %+v", stats.Atlas)
 	}
 
@@ -253,7 +252,7 @@ func TestFleetSessionAtlasHandshake(t *testing.T) {
 		srv := NewServer(s, "router")
 		reg.Mount(srv)
 		if withAtlas {
-			srv.SetAtlasStatus(func() AtlasStatus { return AtlasStatus{Regions: 1} })
+			srv.SetAtlasStatus(func() AtlasStatus { return AtlasStatus{} })
 		}
 		router := httptest.NewServer(srv)
 		defer router.Close()

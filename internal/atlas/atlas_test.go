@@ -387,7 +387,7 @@ func TestTieredStoreServesWithoutComposing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	rc := openbox.NewRegionCacheOpts(net, openbox.StoreOptions{Capacity: 4, Backing: warm})
+	rc := openbox.CacheRegionModelOpts(&openbox.PLNN{Net: net}, openbox.StoreOptions{Capacity: 4, Backing: warm})
 	want := make([]*plm.Linear, len(xs))
 	for i, x := range xs {
 		lin, err := rc.LocalAt(x)
@@ -396,7 +396,7 @@ func TestTieredStoreServesWithoutComposing(t *testing.T) {
 		}
 		want[i] = lin
 	}
-	if rc.Compositions() == 0 {
+	if rc.(openbox.StoreReporter).RegionCompositions() == 0 {
 		t.Fatalf("warm pass composed nothing")
 	}
 	warm.Close()
@@ -407,7 +407,7 @@ func TestTieredStoreServesWithoutComposing(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer cold.Close()
-	rc2 := openbox.NewRegionCacheOpts(net, openbox.StoreOptions{Capacity: 4, Backing: cold})
+	rc2 := openbox.CacheRegionModelOpts(&openbox.PLNN{Net: net}, openbox.StoreOptions{Capacity: 4, Backing: cold})
 	for i, x := range xs {
 		lin, err := rc2.LocalAt(x)
 		if err != nil {
@@ -417,10 +417,10 @@ func TestTieredStoreServesWithoutComposing(t *testing.T) {
 			t.Fatalf("cold lookup %d not bit-identical to composition", i)
 		}
 	}
-	if got := rc2.Compositions(); got != 0 {
+	if got := rc2.(openbox.StoreReporter).RegionCompositions(); got != 0 {
 		t.Fatalf("cold pass composed %d regions, want 0", got)
 	}
-	st := rc2.StoreStats()
+	st := rc2.(openbox.StoreReporter).RegionStoreStats()
 	if st.Misses != 0 {
 		t.Fatalf("cold pass had %d cold misses, want 0 (stats %+v)", st.Misses, st)
 	}

@@ -56,39 +56,3 @@ func (idx *NNIndex) NearestOf(i int) (int, error) {
 	}
 	return n, nil
 }
-
-// KNearest returns the indices of the k nearest instances to x (excluding
-// exclude), closest first. When fewer than k candidates exist, all are
-// returned.
-func (idx *NNIndex) KNearest(x mat.Vec, k, exclude int) []int {
-	type cand struct {
-		i    int
-		dist float64
-	}
-	var heap []cand // simple insertion into a bounded sorted slice
-	for i, c := range idx.d.X {
-		if i == exclude {
-			continue
-		}
-		d := x.L2Dist(c)
-		if len(heap) < k {
-			heap = append(heap, cand{i, d})
-			for j := len(heap) - 1; j > 0 && heap[j].dist < heap[j-1].dist; j-- {
-				heap[j], heap[j-1] = heap[j-1], heap[j]
-			}
-			continue
-		}
-		if k == 0 || d >= heap[k-1].dist {
-			continue
-		}
-		heap[k-1] = cand{i, d}
-		for j := k - 1; j > 0 && heap[j].dist < heap[j-1].dist; j-- {
-			heap[j], heap[j-1] = heap[j-1], heap[j]
-		}
-	}
-	out := make([]int, len(heap))
-	for i, c := range heap {
-		out[i] = c.i
-	}
-	return out
-}

@@ -50,27 +50,6 @@ func TestNearestOfSingleton(t *testing.T) {
 	}
 }
 
-func TestKNearestOrdering(t *testing.T) {
-	d := &Dataset{
-		Name: "pts", Width: 1, Height: 1,
-		X:     []mat.Vec{{0}, {1}, {2}, {3}},
-		Y:     []int{0, 0, 1, 1},
-		Names: []string{"a", "b"},
-	}
-	idx := NewNNIndex(d)
-	got := idx.KNearest(mat.Vec{0.2}, 3, -1)
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("KNearest = %v", got)
-	}
-	all := idx.KNearest(mat.Vec{0}, 10, -1)
-	if len(all) != 4 {
-		t.Fatalf("k>n returned %d", len(all))
-	}
-	if none := idx.KNearest(mat.Vec{0}, 0, -1); len(none) != 0 {
-		t.Fatalf("k=0 returned %v", none)
-	}
-}
-
 func TestNearestMatchesBruteForceOnSynthetic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := SyntheticDigits(rng, SynthConfig{Size: 8, PerClass: 6})

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/mat"
+	"repro/internal/openbox"
 	"repro/internal/plm"
 	"repro/internal/sample"
 )
@@ -77,15 +78,9 @@ type SweepReport struct {
 // sweepChunk is how many probes one batched LocalAtAll call carries.
 const sweepChunk = 256
 
-// localBatcher is the batched closed-form surface (openbox.PLNN): one
-// forward per chunk, one composition per distinct region.
-type localBatcher interface {
-	LocalAtAll(xs []mat.Vec) ([]*plm.Linear, error)
-}
-
 // SweepRegions draws n probes uniformly from unit hypercubes centred on
-// random anchors and resolves each probe's closed-form classifier through
-// model.LocalAt (batched via LocalAtAll when the model offers it). The
+// random anchors and resolves each probe's closed-form classifier in
+// batches through the region cache (openbox.LocalAtAll). The
 // sweep's entire purpose is its side effect: every region it touches lands
 // in whatever RegionStore sits behind the model — a RAM cache, or the disk
 // atlas a census job pre-populates so later interpretation requests are
@@ -110,26 +105,16 @@ func SweepRegions(model plm.RegionModel, anchors []mat.Vec, n int, rng *rand.Ran
 			anchor := anchors[rng.Intn(len(anchors))]
 			probes[i] = sample.NewHypercube(anchor, 1.0).Sample(rng)
 		}
-		if lb, ok := model.(localBatcher); ok {
-			lins, err := lb.LocalAtAll(probes)
-			if err != nil {
-				return SweepReport{}, fmt.Errorf("eval: census sweep: %w", err)
+		lins, err := openbox.LocalAtAll(model, probes)
+		if err != nil {
+			return SweepReport{}, fmt.Errorf("eval: census sweep: %w", err)
+		}
+		for i, lin := range lins {
+			key := lin.Key
+			if key == "" {
+				key = model.RegionKey(probes[i])
 			}
-			for _, lin := range lins {
-				distinct[lin.Key] = true
-			}
-		} else {
-			for _, p := range probes {
-				lin, err := model.LocalAt(p)
-				if err != nil {
-					return SweepReport{}, fmt.Errorf("eval: census sweep: %w", err)
-				}
-				key := lin.Key
-				if key == "" {
-					key = model.RegionKey(p)
-				}
-				distinct[key] = true
-			}
+			distinct[key] = true
 		}
 		done += count
 		if progress != nil {

@@ -61,7 +61,7 @@ func TestRegionCensusErrors(t *testing.T) {
 
 func TestSweepRegionsPopulatesStoreAndReportsProgress(t *testing.T) {
 	net := nn.New(rand.New(rand.NewSource(10)), 4, 10, 3)
-	model := openbox.NewCachedPLNNOpts(net, openbox.StoreOptions{Capacity: 1024})
+	model := openbox.CacheRegionModelOpts(&openbox.PLNN{Net: net}, openbox.StoreOptions{Capacity: 1024})
 	rng := rand.New(rand.NewSource(11))
 	anchors := []mat.Vec{randVec(rng, 4), randVec(rng, 4)}
 
@@ -82,16 +82,16 @@ func TestSweepRegionsPopulatesStoreAndReportsProgress(t *testing.T) {
 	}
 	// The sweep's point is its side effect: every distinct region it touched
 	// is now in the model's region store.
-	if st := model.RegionStoreStats(); st.Size != rep.DistinctRegions {
+	if st := model.(openbox.StoreReporter).RegionStoreStats(); st.Size != rep.DistinctRegions {
 		t.Fatalf("store holds %d regions, sweep reported %d distinct", st.Size, rep.DistinctRegions)
 	}
 }
 
 func TestSweepRegionsDefaultBudgetAndFallback(t *testing.T) {
-	// A model without the batched LocalAtAll surface sweeps probe-by-probe
-	// through LocalAt; the default budget is 64 probes per anchor.
+	// A model without the pattern hook sweeps through RegionKey and LocalAt
+	// in a transient cache; the default budget is 64 probes per anchor.
 	net := nn.New(rand.New(rand.NewSource(12)), 4, 8, 3)
-	model := localOnly{openbox.NewCachedPLNNOpts(net, openbox.StoreOptions{Capacity: 1024})}
+	model := localOnly{&openbox.PLNN{Net: net}}
 	rng := rand.New(rand.NewSource(13))
 	anchors := []mat.Vec{randVec(rng, 4), randVec(rng, 4)}
 	rep, err := SweepRegions(model, anchors, 0, rng, nil)
@@ -109,5 +109,6 @@ func TestSweepRegionsDefaultBudgetAndFallback(t *testing.T) {
 	}
 }
 
-// localOnly hides LocalAtAll so SweepRegions exercises the per-probe path.
+// localOnly hides the pattern hook so SweepRegions exercises the cache's
+// RegionKey + LocalAt fallback.
 type localOnly struct{ plm.RegionModel }

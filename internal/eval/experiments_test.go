@@ -51,15 +51,6 @@ func TestWorkbenchTrainsReasonableModels(t *testing.T) {
 
 func TestWorkbenchModelLookup(t *testing.T) {
 	w := testWorkbench(t)
-	if _, err := w.ModelByName("PLNN"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.ModelByName("lmt"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.ModelByName("vgg"); err == nil {
-		t.Fatal("unknown model accepted")
-	}
 	if len(w.Models()) != 2 {
 		t.Fatal("Models() should list both targets")
 	}

@@ -131,17 +131,6 @@ func (w *Workbench) Models() []ModelEntry {
 	}
 }
 
-// ModelByName returns the named target model ("PLNN" or "LMT").
-func (w *Workbench) ModelByName(name string) (plm.RegionModel, error) {
-	switch name {
-	case "PLNN", "plnn":
-		return w.PLNN, nil
-	case "LMT", "lmt":
-		return w.LMT, nil
-	}
-	return nil, fmt.Errorf("eval: unknown model %q", name)
-}
-
 // SampleTestInstances returns n test-set indices drawn without replacement
 // (the paper subsamples 1000 test instances per dataset).
 func (w *Workbench) SampleTestInstances(rng *rand.Rand, n int) []int {

@@ -188,11 +188,11 @@ func (e *Extractor) HarvestPool(model plm.Model, probes []mat.Vec, workers int) 
 
 // HarvestExact builds the surrogate straight from a white-box model — the
 // owner-side export path, with no API probing at all. Probes sharing a
-// locally linear region collapse into one harvested Region: for a PLNN the
-// activation patterns come from the batched GEMM forward and each distinct
-// region's closed form is composed once through the region cache
-// (openbox.RegionCache); other families answer through a RegionKey-keyed
-// cache. The surrogate is exact on every probed region by construction.
+// locally linear region collapse into one harvested Region: one batched
+// pattern pass over the probes, and each distinct region's closed form is
+// composed once through the region cache (openbox.LocalAtAll: the model's
+// own cache when it is one, else a transient one). The surrogate is exact on
+// every probed region by construction.
 func HarvestExact(model plm.RegionModel, probes []mat.Vec) (*Surrogate, error) {
 	if len(probes) == 0 {
 		return nil, fmt.Errorf("extract: no probes")
@@ -202,24 +202,9 @@ func HarvestExact(model plm.RegionModel, probes []mat.Vec) (*Surrogate, error) {
 			return nil, fmt.Errorf("extract: probe %d length %d != %d", i, len(p), model.Dim())
 		}
 	}
-	var lins []*plm.Linear
-	if p, ok := model.(*openbox.PLNN); ok {
-		// Batched patterns + one composition per distinct region.
-		out, err := p.LocalAtAll(probes)
-		if err != nil {
-			return nil, err
-		}
-		lins = out
-	} else {
-		cached := openbox.CacheRegionModelOpts(model, openbox.StoreOptions{})
-		lins = make([]*plm.Linear, len(probes))
-		for i, probe := range probes {
-			lin, err := cached.LocalAt(probe)
-			if err != nil {
-				return nil, err
-			}
-			lins[i] = lin
-		}
+	lins, err := openbox.LocalAtAll(model, probes)
+	if err != nil {
+		return nil, err
 	}
 	s := &Surrogate{dim: model.Dim(), classes: model.Classes()}
 	seen := make(map[string]bool, len(lins))

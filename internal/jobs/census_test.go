@@ -8,15 +8,16 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/openbox"
+	"repro/internal/plm"
 	"repro/internal/wire"
 )
 
 // censusWhite builds a cached white box whose region store the census
 // sweeps populate — the store a plmserve -atlas deployment would back with
 // the disk log.
-func censusWhite(seed int64) *openbox.PLNN {
+func censusWhite(seed int64) plm.RegionModel {
 	net := nn.New(rand.New(rand.NewSource(seed)), 6, 10, 3)
-	return openbox.NewCachedPLNNOpts(net, openbox.StoreOptions{Capacity: 1024})
+	return openbox.CacheRegionModelOpts(&openbox.PLNN{Net: net}, openbox.StoreOptions{Capacity: 1024})
 }
 
 func TestCensusJobPopulatesRegionStore(t *testing.T) {
@@ -44,7 +45,7 @@ func TestCensusJobPopulatesRegionStore(t *testing.T) {
 		t.Fatalf("census found %d distinct regions from 40 probes", v.Census.DistinctRegions)
 	}
 	// The job's real output is the populated store.
-	if st := white.RegionStoreStats(); st.Size != v.Census.DistinctRegions {
+	if st := white.(openbox.StoreReporter).RegionStoreStats(); st.Size != v.Census.DistinctRegions {
 		t.Fatalf("store holds %d regions, census reported %d", st.Size, v.Census.DistinctRegions)
 	}
 	if done, total := r.CensusProgress(); done != 40 || total != 40 {

@@ -387,9 +387,10 @@ func (r *Runner) runPredict(xs []mat.Vec) ([][]float64, error) {
 }
 
 // runInterpret harvests the exact locally linear regions of the submitted
-// instances from the white-box replica: batched activation patterns, one
+// instances from the white-box replica: one batched pattern pass, one
 // closed-form composition per distinct region (extract.HarvestExact rides
-// openbox.ExtractAll), deduplicated per region.
+// the region cache's batched path, openbox.LocalAtAll), deduplicated per
+// region.
 func (r *Runner) runInterpret(xs []mat.Vec) ([]Region, error) {
 	s, err := extract.HarvestExact(r.white, xs)
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 func TestTreeRegionPatternMatchesLocalAt(t *testing.T) {
-	// One tree descent yields key and composer; both must agree with the
-	// two-descent RegionKey/LocalAt pair bit for bit.
+	// One tree descent per row yields key and composer; both must agree
+	// with the two-descent RegionKey/LocalAt pair bit for bit.
 	rng := rand.New(rand.NewSource(70))
 	xs := make([]mat.Vec, 120)
 	labels := make([]int, len(xs))
@@ -23,16 +23,16 @@ func TestTreeRegionPatternMatchesLocalAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		x := xs[i]
-		key, compose, err := tree.RegionPattern(x)
-		if err != nil {
-			t.Fatal(err)
+	batch := xs[:10]
+	keys, compose, err := tree.RegionPatterns(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range batch {
+		if keys[i] != tree.RegionKey(x) {
+			t.Fatalf("pattern key %q != RegionKey %q", keys[i], tree.RegionKey(x))
 		}
-		if key != tree.RegionKey(x) {
-			t.Fatalf("pattern key %q != RegionKey %q", key, tree.RegionKey(x))
-		}
-		got, err := compose()
+		got, err := compose(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestTreeRegionPatternMatchesLocalAt(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := tree.RegionPattern(mat.Vec{1}); err == nil {
+	if _, _, err := tree.RegionPatterns([]mat.Vec{xs[0], {1}}); err == nil {
 		t.Fatal("wrong-dim input accepted")
 	}
 }

@@ -321,16 +321,20 @@ func (t *Tree) LocalAt(x mat.Vec) (*plm.Linear, error) {
 	return leaf.Leaf.Linear(fmt.Sprintf("lmt-leaf-%d", leaf.LeafID))
 }
 
-// RegionPattern is the per-family pattern hook: one tree descent yields the
-// leaf, which is both the region key and everything the composer needs —
-// a region-cache miss no longer walks the tree a second time.
-func (t *Tree) RegionPattern(x mat.Vec) (string, func() (*plm.Linear, error), error) {
-	if len(x) != t.dim {
-		return "", nil, fmt.Errorf("lmt: input length %d != %d", len(x), t.dim)
+// RegionPatterns is the pattern hook: one tree descent per row yields the
+// leaf, which is both the region key and everything compose(i) needs — a
+// region-cache miss does not walk the tree a second time.
+func (t *Tree) RegionPatterns(xs []mat.Vec) ([]string, func(int) (*plm.Linear, error), error) {
+	leaves := make([]*Node, len(xs))
+	keys := make([]string, len(xs))
+	for i, x := range xs {
+		if len(x) != t.dim {
+			return nil, nil, fmt.Errorf("lmt: batch item %d length %d != %d", i, len(x), t.dim)
+		}
+		leaves[i] = t.leafFor(x)
+		keys[i] = fmt.Sprintf("lmt-leaf-%d", leaves[i].LeafID)
 	}
-	leaf := t.leafFor(x)
-	key := fmt.Sprintf("lmt-leaf-%d", leaf.LeafID)
-	return key, func() (*plm.Linear, error) { return leaf.Leaf.Linear(key) }, nil
+	return keys, func(i int) (*plm.Linear, error) { return leaves[i].Leaf.Linear(keys[i]) }, nil
 }
 
 var _ plm.PatternRegionModel = (*Tree)(nil)

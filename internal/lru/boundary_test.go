@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// Three caches (api.ResponseCache, openbox.RegionCache, the generic
-// region-model wrapper) derive their eviction counters from Add's evicted
-// flag, so the flag has to be exact at the capacity boundaries — an
-// over-report would show phantom churn in /stats, an under-report would
-// hide real thrash from the benchmark trajectory.
+// Both caches (api.ResponseCache and the RAM tier of openbox's region store)
+// derive their eviction counters from Add's evicted flag, so the flag has to
+// be exact at the capacity boundaries — an over-report would show phantom
+// churn in /stats, an under-report would hide real thrash from the
+// benchmark trajectory.
 
 func TestCapacityZeroIsUnbounded(t *testing.T) {
 	// Capacity 0 means unbounded, not "evict everything": the flag must

@@ -1,6 +1,6 @@
 // Package lru provides the one string-keyed LRU bookkeeping structure the
-// repository's caches share (api.ResponseCache, openbox.RegionCache and the
-// generic region-model wrapper). It is deliberately not goroutine-safe:
+// repository's caches share (api.ResponseCache and the RAM tier of
+// openbox's region store). It is deliberately not goroutine-safe:
 // every consumer already holds its own mutex around cache operations and
 // keeps its own hit/miss/eviction counters, which differ per cache.
 package lru

@@ -119,16 +119,6 @@ func (m *Dense) SetRow(i int, v Vec) {
 	copy(m.RawRow(i), v)
 }
 
-// SetCol copies v into column j.
-func (m *Dense) SetCol(j int, v Vec) {
-	if len(v) != m.rows {
-		panic(fmt.Sprintf("mat: SetCol length %d != rows %d", len(v), m.rows))
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+j] = v[i]
-	}
-}
-
 // RowsView returns the first r rows of m as a matrix sharing m's storage —
 // no copy. Writes through the view write through to m. It exists so pooled
 // per-batch scratch allocated at the full mini-batch size can serve a

@@ -14,17 +14,6 @@ import (
 	"repro/internal/mat"
 )
 
-// ReLU applies max(0, x) elementwise, returning a new vector.
-func ReLU(x mat.Vec) mat.Vec {
-	out := make(mat.Vec, len(x))
-	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-		}
-	}
-	return out
-}
-
 // ReLUMask returns the 0/1 activity mask of x: 1 where x > 0.
 // The concatenated masks of all hidden layers form the activation pattern
 // that indexes the locally linear region of the PLNN.

@@ -141,15 +141,6 @@ func (n *Network) HiddenSizes() []int {
 	return out
 }
 
-// NumParams returns the total number of weights and biases.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.layers {
-		total += l.W.Rows()*l.W.Cols() + len(l.B)
-	}
-	return total
-}
-
 // forwardState caches pre-activations (z) and post-activations (a) for
 // backprop. a[0] is the input; a[i] for i >= 1 is the output of layer i-1
 // after its nonlinearity (ReLU for hidden, identity for the last layer).

@@ -9,13 +9,6 @@ import (
 	"repro/internal/mat"
 )
 
-func TestReLU(t *testing.T) {
-	got := ReLU(mat.Vec{-1, 0, 2})
-	if got[0] != 0 || got[1] != 0 || got[2] != 2 {
-		t.Fatalf("ReLU = %v", got)
-	}
-}
-
 func TestReLUMask(t *testing.T) {
 	m := ReLUMask(mat.Vec{-1, 0, 2})
 	if m[0] || m[1] || !m[2] {
@@ -70,9 +63,6 @@ func TestNewShapes(t *testing.T) {
 	}
 	if got := n.HiddenSizes(); len(got) != 1 || got[0] != 8 {
 		t.Fatalf("HiddenSizes = %v", got)
-	}
-	if got := n.NumParams(); got != 4*8+8+8*3+3 {
-		t.Fatalf("NumParams = %d", got)
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 )
 
 // Extraction benchmarks for the PR-3 trajectory: a clustered workload (many
-// instances, few regions) through the uncached chain, the region cache, and
-// the batched ExtractAll. The paper-adjacent 64-dimensional net keeps one
+// instances, few regions) through the uncached chain, the region cache one
+// lookup at a time, and the region cache's batched path with a fresh cache
+// per batch. The paper-adjacent 64-dimensional net keeps one
 // composition around a millisecond so CI's one-iteration smoke stays fast.
 
 func benchNetXs(b *testing.B) (*PLNN, []mat.Vec) {
@@ -34,7 +35,7 @@ func BenchmarkExtract_NoCache(b *testing.B) {
 
 func BenchmarkExtract_RegionCache(b *testing.B) {
 	p, xs := benchNetXs(b)
-	rc := NewRegionCacheOpts(p.Net, StoreOptions{})
+	rc := CacheRegionModelOpts(p, StoreOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, x := range xs {
@@ -49,7 +50,7 @@ func BenchmarkExtractAll_Clustered(b *testing.B) {
 	p, xs := benchNetXs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ExtractAll(p.Net, xs); err != nil {
+		if _, err := LocalAtAll(p, xs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,8 @@ import (
 	"repro/internal/plm"
 )
 
-// ExtractAll's per-batch dedup must be independent of map iteration order:
+// The region cache's per-batch dedup must be independent of map iteration
+// order:
 // out[i] is pinned to xs[i], so permuting the batch must permute the
 // outputs and nothing else, and instances sharing a region must share the
 // bit-identical classifier whichever of them was seen first.
@@ -35,11 +36,11 @@ func TestExtractAllOrderIndependent(t *testing.T) {
 		shuffled[j] = xs[i]
 	}
 
-	fwd, err := ExtractAll(n, xs)
+	fwd, err := LocalAtAll(&PLNN{Net: n}, xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shuf, err := ExtractAll(n, shuffled)
+	shuf, err := LocalAtAll(&PLNN{Net: n}, shuffled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestExtractAllOrderIndependent(t *testing.T) {
 
 	// Run-to-run: same batch, identical bits every time.
 	for run := 0; run < 3; run++ {
-		again, err := ExtractAll(n, xs)
+		again, err := LocalAtAll(&PLNN{Net: n}, xs)
 		if err != nil {
 			t.Fatal(err)
 		}

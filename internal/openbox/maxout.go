@@ -57,30 +57,38 @@ func (m *Maxout) RegionKey(x mat.Vec) string {
 
 // LocalAt extracts the exact locally linear classifier at x.
 func (m *Maxout) LocalAt(x mat.Vec) (*plm.Linear, error) {
-	_, compose, err := m.RegionPattern(x)
+	if len(x) != m.Net.InputDim() {
+		return nil, fmt.Errorf("openbox: maxout input length %d != %d", len(x), m.Net.InputDim())
+	}
+	pat := m.Net.WinnerPattern(x)
+	return m.compose(pat, winnerKey(pat))
+}
+
+// RegionPatterns is the pattern hook: one batched forward yields every
+// input's winner pattern, the key is hashed from it, and compose(i) folds
+// the winning pieces straight from pattern i.
+func (m *Maxout) RegionPatterns(xs []mat.Vec) ([]string, func(int) (*plm.Linear, error), error) {
+	for i, x := range xs {
+		if len(x) != m.Net.InputDim() {
+			return nil, nil, fmt.Errorf("openbox: maxout batch item %d length %d != %d", i, len(x), m.Net.InputDim())
+		}
+	}
+	patterns := m.Net.WinnerPatternBatch(xs)
+	keys := make([]string, len(patterns))
+	for i, pat := range patterns {
+		keys[i] = winnerKey(pat)
+	}
+	return keys, func(i int) (*plm.Linear, error) { return m.compose(patterns[i], keys[i]) }, nil
+}
+
+// compose folds the winning pieces of a flat winner pattern into the
+// region's classifier.
+func (m *Maxout) compose(pat []int, key string) (*plm.Linear, error) {
+	w, b, err := m.Net.AffineFromWinners(pat)
 	if err != nil {
 		return nil, err
 	}
-	return compose()
-}
-
-// RegionPattern is the per-family pattern hook: one forward yields the
-// winner pattern, the key is hashed from it, and the composer folds the
-// winning pieces straight from the pattern — no second forward on cache
-// misses, none at all beyond the key on hits.
-func (m *Maxout) RegionPattern(x mat.Vec) (string, func() (*plm.Linear, error), error) {
-	if len(x) != m.Net.InputDim() {
-		return "", nil, fmt.Errorf("openbox: maxout input length %d != %d", len(x), m.Net.InputDim())
-	}
-	pat := m.Net.WinnerPattern(x)
-	key := winnerKey(pat)
-	return key, func() (*plm.Linear, error) {
-		w, b, err := m.Net.AffineFromWinners(pat)
-		if err != nil {
-			return nil, err
-		}
-		return plm.NewLinear(w, b, key)
-	}, nil
+	return plm.NewLinear(w, b, key)
 }
 
 var _ plm.PatternRegionModel = (*Maxout)(nil)

@@ -21,9 +21,10 @@ import (
 
 // Extract folds the network's layers at x into the affine map of the
 // locally linear region containing x: the activation pattern at x selects
-// the region, composeFromPattern folds the layers. Results are shared
-// per-pattern by RegionCache, so callers must treat the returned Linear as
-// read-only (every consumer in this repository does).
+// the region, composeFromPattern folds the layers. A region cache
+// (CacheRegionModelOpts) shares one result per pattern between callers, so
+// callers must treat the returned Linear as read-only (every consumer in
+// this repository does).
 func Extract(n *nn.Network, x mat.Vec) (*plm.Linear, error) {
 	if len(x) != n.InputDim() {
 		return nil, fmt.Errorf("openbox: input length %d != %d", len(x), n.InputDim())
@@ -95,42 +96,14 @@ func PatternKey(pattern []bool) string {
 }
 
 // PLNN adapts an nn.Network to the plm.RegionModel interface, giving the
-// evaluation harness a uniform white-box view of the network.
+// evaluation harness a uniform white-box view of the network. Wrap it with
+// CacheRegionModelOpts to memoize its regions.
 type PLNN struct {
 	Net *nn.Network
-	// Regions, when non-nil, memoizes LocalAt's closed-form composition per
-	// locally linear region (see RegionCache). NewCachedPLNNOpts sets it.
-	Regions *RegionCache
 }
 
-var _ plm.RegionModel = (*PLNN)(nil)
+var _ plm.PatternRegionModel = (*PLNN)(nil)
 var _ plm.BatchPredictor = (*PLNN)(nil)
-
-// NewCachedPLNNOpts wraps net with a region cache whose storage stack is
-// built from opts, so repeated LocalAt calls for instances in already-seen
-// regions return the memoized composed map — from RAM, or from the durable
-// backing tier when one is configured.
-func NewCachedPLNNOpts(net *nn.Network, opts StoreOptions) *PLNN {
-	return &PLNN{Net: net, Regions: NewRegionCacheOpts(net, opts)}
-}
-
-// RegionStoreStats implements StoreReporter: the attached region cache's
-// unified store counters (zero without a cache).
-func (p *PLNN) RegionStoreStats() plm.StoreStats {
-	if p.Regions == nil {
-		return plm.StoreStats{}
-	}
-	return p.Regions.StoreStats()
-}
-
-// RegionCompositions implements StoreReporter: how many closed forms the
-// attached cache actually composed (zero without a cache).
-func (p *PLNN) RegionCompositions() int64 {
-	if p.Regions == nil {
-		return 0
-	}
-	return p.Regions.Compositions()
-}
 
 // Predict returns softmax class probabilities.
 func (p *PLNN) Predict(x mat.Vec) mat.Vec { return p.Net.Predict(x) }
@@ -159,23 +132,22 @@ func (p *PLNN) RegionKey(x mat.Vec) string {
 	return PatternKey(p.Net.ActivationPattern(x))
 }
 
-// LocalAt extracts the locally linear classifier at x, through the region
-// cache when one is attached. The result is shared storage — read-only.
-func (p *PLNN) LocalAt(x mat.Vec) (*plm.Linear, error) {
-	if p.Regions != nil {
-		return p.Regions.LocalAt(x)
-	}
-	return Extract(p.Net, x)
-}
+// LocalAt extracts the locally linear classifier at x.
+func (p *PLNN) LocalAt(x mat.Vec) (*plm.Linear, error) { return Extract(p.Net, x) }
 
-// LocalAtAll extracts the locally linear classifier of every instance,
-// computing activation patterns with the batched forward and composing each
-// distinct region only once. Without an attached cache a transient one
-// scopes the memoization to this call.
-func (p *PLNN) LocalAtAll(xs []mat.Vec) ([]*plm.Linear, error) {
-	rc := p.Regions
-	if rc == nil {
-		rc = NewRegionCacheOpts(p.Net, StoreOptions{})
+// RegionPatterns is the pattern hook: one batched forward yields every
+// input's activation pattern, the key is hashed from it, and compose(i)
+// folds the layers straight from pattern i.
+func (p *PLNN) RegionPatterns(xs []mat.Vec) ([]string, func(int) (*plm.Linear, error), error) {
+	for i, x := range xs {
+		if len(x) != p.Net.InputDim() {
+			return nil, nil, fmt.Errorf("openbox: batch item %d length %d != %d", i, len(x), p.Net.InputDim())
+		}
 	}
-	return rc.ExtractAll(xs)
+	patterns := p.Net.ActivationPatternBatch(xs)
+	keys := make([]string, len(patterns))
+	for i, pat := range patterns {
+		keys[i] = PatternKey(pat)
+	}
+	return keys, func(i int) (*plm.Linear, error) { return composeFromPattern(p.Net, patterns[i]) }, nil
 }

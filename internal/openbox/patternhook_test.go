@@ -12,16 +12,19 @@ import (
 func TestMaxoutRegionPatternMatchesLocalAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	m := &Maxout{Net: nn.NewMaxout(rng, 3, 6, 10, 5, 4)}
-	for i := 0; i < 10; i++ {
-		x := randVec(rng, 6)
-		key, compose, err := m.RegionPattern(x)
-		if err != nil {
-			t.Fatal(err)
+	xs := make([]mat.Vec, 10)
+	for i := range xs {
+		xs[i] = randVec(rng, 6)
+	}
+	keys, compose, err := m.RegionPatterns(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range xs {
+		if keys[i] != m.RegionKey(x) {
+			t.Fatalf("pattern key %q != RegionKey %q", keys[i], m.RegionKey(x))
 		}
-		if key != m.RegionKey(x) {
-			t.Fatalf("pattern key %q != RegionKey %q", key, m.RegionKey(x))
-		}
-		got, err := compose()
+		got, err := compose(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,16 +32,11 @@ func TestMaxoutRegionPatternMatchesLocalAt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Key != want.Key || !got.B.EqualApprox(want.B, 0) {
-			t.Fatalf("composed bias differs: %v vs %v", got.B, want.B)
-		}
-		for r := 0; r < got.W.Rows(); r++ {
-			if !got.W.RawRow(r).EqualApprox(want.W.RawRow(r), 0) {
-				t.Fatalf("composed row %d differs", r)
-			}
+		if !linearsBitIdentical(got, want) || got.Key != want.Key {
+			t.Fatalf("instance %d: composed classifier differs from LocalAt", i)
 		}
 	}
-	if _, _, err := m.RegionPattern(mat.Vec{1, 2}); err == nil {
+	if _, _, err := m.RegionPatterns([]mat.Vec{xs[0], {1, 2}}); err == nil {
 		t.Fatal("wrong-dim input accepted")
 	}
 }
@@ -66,25 +64,25 @@ func (h *hookCounter) LocalAt(x mat.Vec) (*plm.Linear, error) {
 	return h.inner.LocalAt(x)
 }
 
-func (h *hookCounter) RegionPattern(x mat.Vec) (string, func() (*plm.Linear, error), error) {
+func (h *hookCounter) RegionPatterns(xs []mat.Vec) ([]string, func(int) (*plm.Linear, error), error) {
 	h.patterns++
-	key, compose, err := h.inner.RegionPattern(x)
+	keys, compose, err := h.inner.RegionPatterns(xs)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
-	return key, func() (*plm.Linear, error) {
+	return keys, func(i int) (*plm.Linear, error) {
 		h.composes++
-		return compose()
+		return compose(i)
 	}, nil
 }
 
 var _ plm.PatternRegionModel = (*hookCounter)(nil)
 
 func TestCacheRegionModelUsesPatternHook(t *testing.T) {
-	// The satellite's contract: on families with the pattern hook (MaxOut,
-	// LMT) the generic region cache pays one pattern pass per call and one
-	// composition per distinct region — it never falls back to the
-	// RegionKey + LocalAt pair that re-derives the region from x.
+	// On families with the pattern hook the region cache pays one pattern
+	// pass per call and one composition per distinct region — it never
+	// falls back to the RegionKey + LocalAt pair that re-derives the region
+	// from x.
 	rng := rand.New(rand.NewSource(52))
 	h := &hookCounter{inner: &Maxout{Net: nn.NewMaxout(rng, 3, 5, 8, 3)}}
 	cached := CacheRegionModelOpts(h, StoreOptions{})
@@ -105,7 +103,7 @@ func TestCacheRegionModelUsesPatternHook(t *testing.T) {
 		t.Fatalf("cached classifier wrong: %v / %v", first.Key, err)
 	}
 	if h.patterns != 2 {
-		t.Fatalf("RegionPattern called %d times for 2 lookups, want 2", h.patterns)
+		t.Fatalf("RegionPatterns called %d times for 2 lookups, want 2", h.patterns)
 	}
 	if h.composes != 1 {
 		t.Fatalf("composed %d times for 1 distinct region, want 1", h.composes)

@@ -1,161 +1,47 @@
 package openbox
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/mat"
-	"repro/internal/nn"
 	"repro/internal/plm"
 )
 
-// RegionCache memoizes the closed-form affine map of a network's locally
-// linear regions, keyed by PatternKey. Composing (W_eff, b_eff) costs one
-// GEMM per layer over the full input dimensionality; two instances with the
-// same activation pattern share the identical map, so the second extraction
-// is a store lookup instead of a GEMM chain — the region structure OpenBox
-// makes explicit, exploited for compute.
+// CacheRegionModelOpts wraps a white-box model in the region cache: the
+// closed-form classifier of each locally linear region is composed once,
+// stored under its region key in the store stack built from opts (see
+// NewStore), and shared by every later lookup in that region. Composing a
+// PLNN's (W_eff, b_eff) costs one GEMM per layer over the full input
+// dimensionality, so the second lookup in a region is a store hit instead
+// of a GEMM chain — the region structure OpenBox makes explicit, exploited
+// for compute. The evaluation harness wraps its ground-truth model with
+// this before a metrics run: RD/WD/L1Dist query LocalAt per probe and per
+// sample, but only per region does the answer change.
 //
-// Storage lives behind the RegionStore contract: by default an in-RAM LRU
-// (capacity <= 0 keeps every region seen), optionally layered over a
-// durable backing tier (the disk atlas) via StoreOptions.Backing.
-// RegionCache is safe for concurrent use. Stored *plm.Linear values are
-// shared between callers and must be treated as read-only (every consumer
-// in this repository is).
-type RegionCache struct {
-	net   *nn.Network
-	store RegionStore
-
-	compositions atomic.Int64
-}
-
-// NewRegionCacheOpts returns a cache over net whose storage stack is built
-// from opts (see NewStore).
-func NewRegionCacheOpts(net *nn.Network, opts StoreOptions) *RegionCache {
-	return &RegionCache{net: net, store: NewStore(opts)}
-}
-
-// RegionCacheStats is a point-in-time snapshot of cache behaviour.
-// Compositions counts how many times the GEMM chain actually ran — the
-// quantity the batched extraction keeps strictly below the instance count
-// whenever instances share regions.
-type RegionCacheStats struct {
-	Hits, Misses, Evictions, Compositions int64
-}
-
-// Stats returns the cache counters.
-func (rc *RegionCache) Stats() RegionCacheStats {
-	s := rc.store.Stats()
-	return RegionCacheStats{
-		Hits:         s.Hits,
-		Misses:       s.Misses,
-		Evictions:    s.Evictions,
-		Compositions: rc.compositions.Load(),
-	}
-}
-
-// StoreStats returns the unified accounting shape of the underlying store
-// stack (see plm.StoreStats).
-func (rc *RegionCache) StoreStats() plm.StoreStats { return rc.store.Stats() }
-
-// Compositions returns how many times the GEMM chain actually ran.
-func (rc *RegionCache) Compositions() int64 { return rc.compositions.Load() }
-
-// Store exposes the underlying store stack, for wiring stats or snapshots.
-func (rc *RegionCache) Store() RegionStore { return rc.store }
-
-// Len returns the number of regions currently stored.
-func (rc *RegionCache) Len() int { return rc.store.Len() }
-
-// LocalAt returns the memoized locally linear classifier of the region
-// containing x, composing it on first sight of the region.
-func (rc *RegionCache) LocalAt(x mat.Vec) (*plm.Linear, error) {
-	if len(x) != rc.net.InputDim() {
-		return nil, fmt.Errorf("openbox: input length %d != %d", len(x), rc.net.InputDim())
-	}
-	return rc.localForPattern(rc.net.ActivationPattern(x))
-}
-
-// ExtractAll returns the locally linear classifier of every instance. The
-// activation patterns come from one batched forward (a GEMM per layer for
-// the whole batch), and each distinct region is composed at most once —
-// clustered workloads pay per region, not per instance. out[i] is
-// bit-identical to Extract(net, xs[i]).
-func (rc *RegionCache) ExtractAll(xs []mat.Vec) ([]*plm.Linear, error) {
-	for i, x := range xs {
-		if len(x) != rc.net.InputDim() {
-			return nil, fmt.Errorf("openbox: batch item %d length %d != %d", i, len(x), rc.net.InputDim())
-		}
-	}
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	patterns := rc.net.ActivationPatternBatch(xs)
-	out := make([]*plm.Linear, len(xs))
-	seen := make(map[string]*plm.Linear, len(xs))
-	for i, pat := range patterns {
-		key := PatternKey(pat)
-		if lin, ok := seen[key]; ok {
-			out[i] = lin
-			continue
-		}
-		lin, err := rc.localForPattern(pat)
-		if err != nil {
-			return nil, err
-		}
-		seen[key] = lin
-		out[i] = lin
-	}
-	return out, nil
-}
-
-// localForPattern returns the stored map for the region the pattern selects,
-// composing and inserting it on a miss. The composition runs outside any
-// store lock: two goroutines missing the same fresh region may both compose,
-// but the results are identical and Insert keeps only the incumbent.
-func (rc *RegionCache) localForPattern(pattern []bool) (*plm.Linear, error) {
-	key := PatternKey(pattern)
-	if lin, ok := rc.store.Lookup(key); ok {
-		return lin, nil
-	}
-	rc.compositions.Add(1)
-	lin, err := composeFromPattern(rc.net, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return rc.store.Insert(key, lin), nil
-}
-
-// ExtractAll is the package-level batch extraction: activation patterns via
-// the batched forward, one composition per distinct region, no persistent
-// cache. out[i] is bit-identical to Extract(n, xs[i]).
-func ExtractAll(n *nn.Network, xs []mat.Vec) ([]*plm.Linear, error) {
-	return NewRegionCacheOpts(n, StoreOptions{}).ExtractAll(xs)
-}
-
-// CacheRegionModelOpts wraps any white-box model so repeated LocalAt calls
-// for instances in an already-seen region return the memoized classifier,
-// keyed by RegionKey, with the storage stack built from opts. A PLNN gets
-// the pattern-level RegionCache; families implementing the per-family
-// pattern hook (plm.PatternRegionModel — MaxOut, LMT) get the same
-// economics through the generic cache: one pattern-building pass per call,
-// hits skip the composition, and misses compose straight from the captured
-// pattern instead of re-deriving it from x. A family with neither hook
-// falls back to RegionKey + LocalAt (one extra derivation per miss). The
-// evaluation harness wraps its ground-truth model with this before a
-// metrics run: RD/WD/L1Dist query LocalAt per probe and per sample, but
-// only per region does the answer change.
+// Families implementing the pattern hook (plm.PatternRegionModel: PLNN,
+// MaxOut, LMT and any type embedding one) pay one batched pattern pass per
+// call and compose a miss straight from the captured pattern. A model
+// without the hook falls back to RegionKey per input and LocalAt per miss.
+// The cache is safe for concurrent use; stored *plm.Linear values are
+// shared between callers and must be treated as read-only.
 func CacheRegionModelOpts(m plm.RegionModel, opts StoreOptions) plm.RegionModel {
-	if p, ok := m.(*PLNN); ok {
-		if p.Regions != nil {
-			return p
-		}
-		return &PLNN{Net: p.Net, Regions: NewRegionCacheOpts(p.Net, opts)}
-	}
 	return &cachedRegionModel{RegionModel: m, store: NewStore(opts)}
 }
 
-// cachedRegionModel memoizes LocalAt per RegionKey for any RegionModel.
+// LocalAtAll returns the locally linear classifier of every instance
+// through m's region cache when m is one, and otherwise through a transient
+// cache scoped to this call: one pattern pass for the batch, one
+// composition per distinct region. out[i] is bit-identical to
+// m.LocalAt(xs[i]).
+func LocalAtAll(m plm.RegionModel, xs []mat.Vec) ([]*plm.Linear, error) {
+	c, ok := m.(*cachedRegionModel)
+	if !ok {
+		c = &cachedRegionModel{RegionModel: m, store: NewStore(StoreOptions{})}
+	}
+	return c.LocalAtAll(xs)
+}
+
+// cachedRegionModel memoizes a RegionModel's classifiers per region key.
 type cachedRegionModel struct {
 	plm.RegionModel
 
@@ -164,34 +50,65 @@ type cachedRegionModel struct {
 }
 
 var _ StoreReporter = (*cachedRegionModel)(nil)
+var _ plm.BatchPredictor = (*cachedRegionModel)(nil)
 
+// PredictBatch keeps the wrapped model's batched forward, so a cached PLNN
+// still answers a batch with one GEMM per layer; a model without one is
+// looped through Predict.
+func (c *cachedRegionModel) PredictBatch(xs []mat.Vec) ([]mat.Vec, error) {
+	return plm.PredictAll(c.RegionModel, xs)
+}
+
+// LocalAt is a batch of one.
 func (c *cachedRegionModel) LocalAt(x mat.Vec) (*plm.Linear, error) {
-	var (
-		key     string
-		compose func() (*plm.Linear, error)
-	)
-	if pm, ok := c.RegionModel.(plm.PatternRegionModel); ok {
-		// The pattern hook: the key-building pass already captured the
-		// region, so a miss composes from the pattern instead of walking
-		// the model again.
-		k, comp, err := pm.RegionPattern(x)
-		if err != nil {
-			return nil, err
-		}
-		key, compose = k, comp
-	} else {
-		key = c.RegionModel.RegionKey(x)
-		compose = func() (*plm.Linear, error) { return c.RegionModel.LocalAt(x) }
-	}
-	if lin, ok := c.store.Lookup(key); ok {
-		return lin, nil
-	}
-	c.compositions.Add(1)
-	lin, err := compose()
+	out, err := c.LocalAtAll([]mat.Vec{x})
 	if err != nil {
 		return nil, err
 	}
-	return c.store.Insert(key, lin), nil
+	return out[0], nil
+}
+
+// LocalAtAll resolves every instance's region key in one pattern pass,
+// looks each distinct key up once, and composes each miss once. The
+// composition runs outside any store lock: two goroutines missing the same
+// fresh region may both compose, but the results are identical and Insert
+// keeps only the incumbent.
+func (c *cachedRegionModel) LocalAtAll(xs []mat.Vec) ([]*plm.Linear, error) {
+	keys, compose, err := c.patterns(xs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*plm.Linear, len(keys))
+	seen := make(map[string]*plm.Linear, len(keys))
+	for i, key := range keys {
+		lin, ok := seen[key]
+		if !ok {
+			if lin, ok = c.store.Lookup(key); !ok {
+				c.compositions.Add(1)
+				fresh, err := compose(i)
+				if err != nil {
+					return nil, err
+				}
+				lin = c.store.Insert(key, fresh)
+			}
+			seen[key] = lin
+		}
+		out[i] = lin
+	}
+	return out, nil
+}
+
+// patterns returns the region keys of xs and a composer by index, through
+// the model's pattern hook when it has one.
+func (c *cachedRegionModel) patterns(xs []mat.Vec) ([]string, func(int) (*plm.Linear, error), error) {
+	if pm, ok := c.RegionModel.(plm.PatternRegionModel); ok {
+		return pm.RegionPatterns(xs)
+	}
+	keys := make([]string, len(xs))
+	for i, x := range xs {
+		keys[i] = c.RegionModel.RegionKey(x)
+	}
+	return keys, func(i int) (*plm.Linear, error) { return c.RegionModel.LocalAt(xs[i]) }, nil
 }
 
 // RegionStoreStats implements StoreReporter.

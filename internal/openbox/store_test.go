@@ -141,37 +141,41 @@ func TestTieredStorePromotesAndWritesThrough(t *testing.T) {
 	}
 }
 
-// TestStoreConstructorsAgree: the three ways to put a region store in
-// front of a network find the same region and report through one hook.
+// TestStoreConstructorsAgree: a PLNN, a type embedding one and the
+// transient batched path find the same region as the uncached Extract, and
+// the cache reports through the StoreReporter hook.
 func TestStoreConstructorsAgree(t *testing.T) {
 	net := smallNet(t)
 	opts := StoreOptions{Capacity: 4}
-	rc := NewRegionCacheOpts(net, opts)
-	p := NewCachedPLNNOpts(net, opts)
-	m := CacheRegionModelOpts(&PLNN{Net: net}, opts)
-	if rc == nil || p == nil || m == nil {
-		t.Fatalf("constructor returned nil")
-	}
+	p := CacheRegionModelOpts(&PLNN{Net: net}, opts)
+	e := CacheRegionModelOpts(embedsPLNN{&PLNN{Net: net}}, opts)
 	x := make(mat.Vec, net.InputDim())
 	for i := range x {
 		x[i] = float64(i) - 1.5
 	}
-	a, err := rc.LocalAt(x)
+	want, err := Extract(net, x)
 	if err != nil {
-		t.Fatalf("LocalAt: %v", err)
+		t.Fatalf("Extract: %v", err)
 	}
-	b, err := p.LocalAt(x)
+	a, err := p.LocalAt(x)
 	if err != nil {
 		t.Fatalf("PLNN LocalAt: %v", err)
 	}
-	c, err := m.LocalAt(x)
+	b, err := e.LocalAt(x)
 	if err != nil {
-		t.Fatalf("wrapped model LocalAt: %v", err)
+		t.Fatalf("embedded PLNN LocalAt: %v", err)
 	}
-	if a.Key != b.Key || a.Key != c.Key {
-		t.Fatalf("constructors disagree on region key")
+	c, err := LocalAtAll(&PLNN{Net: net}, []mat.Vec{x})
+	if err != nil {
+		t.Fatalf("LocalAtAll: %v", err)
 	}
-	var rep StoreReporter = p
+	if a.Key != want.Key || b.Key != want.Key || c[0].Key != want.Key {
+		t.Fatalf("cache paths disagree on region key")
+	}
+	rep, ok := p.(StoreReporter)
+	if !ok {
+		t.Fatalf("region cache does not report its store")
+	}
 	if rep.RegionCompositions() != 1 {
 		t.Fatalf("compositions = %d, want 1", rep.RegionCompositions())
 	}
@@ -183,7 +187,7 @@ func TestStoreConstructorsAgree(t *testing.T) {
 func TestConcurrentTieredRegionCache(t *testing.T) {
 	net := smallNet(t)
 	back := &countingStore{m: make(map[string]*plm.Linear)}
-	rc := NewRegionCacheOpts(net, StoreOptions{Capacity: 2, Backing: back})
+	rc := CacheRegionModelOpts(&PLNN{Net: net}, StoreOptions{Capacity: 2, Backing: back})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -202,7 +206,7 @@ func TestConcurrentTieredRegionCache(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if rc.Len() == 0 {
+	if back.Len() == 0 {
 		t.Fatalf("nothing stored")
 	}
 }

@@ -31,7 +31,7 @@ func TestExtractAllTierParity(t *testing.T) {
 		if _, err := mat.SetKernelTier(tier); err != nil {
 			t.Fatalf("SetKernelTier(%s): %v", tier, err)
 		}
-		locs, err := ExtractAll(n, xs)
+		locs, err := LocalAtAll(&PLNN{Net: n}, xs)
 		if err != nil {
 			t.Fatalf("tier %s: %v", tier, err)
 		}

@@ -72,19 +72,19 @@ type RegionModel interface {
 	LocalAt(x mat.Vec) (*Linear, error)
 }
 
-// PatternRegionModel is an optional extension of RegionModel: one forward
-// pass (or tree descent) yields both the region's identity and a composer
-// that builds the region's classifier from the captured pattern without
-// revisiting the input. Region caches probe for it with a type assertion —
-// a cache hit then costs exactly the one pattern-building pass (the way a
-// PLNN's pattern-keyed RegionCache already works), and a miss composes
-// straight from the pattern instead of re-deriving it from x.
+// PatternRegionModel is how a white-box family exposes its regions to the
+// region cache (openbox.CacheRegionModelOpts): one batched pattern pass
+// (a forward per layer for the whole batch, or a tree descent per row)
+// yields every input's region key and a composer that builds a region's
+// classifier from the captured pattern without revisiting the input. A
+// cache hit then costs only the pattern pass, and a miss composes straight
+// from the pattern. A single lookup is a batch of one.
 type PatternRegionModel interface {
 	RegionModel
-	// RegionPattern returns the key of the region containing x and a
-	// compose function producing the region's classifier. compose must be
-	// bit-identical to LocalAt(x) and must not re-run the forward pass.
-	RegionPattern(x mat.Vec) (key string, compose func() (*Linear, error), err error)
+	// RegionPatterns returns the key of the region containing each xs[i]
+	// and a composer by index. compose(i) must be bit-identical to
+	// LocalAt(xs[i]) and must not re-run the pattern pass.
+	RegionPatterns(xs []mat.Vec) (keys []string, compose func(i int) (*Linear, error), err error)
 }
 
 // Linear is a locally linear classifier σ(W x + b). W is stored

@@ -49,12 +49,6 @@ func (h Hypercube) Contains(p mat.Vec) bool {
 	return true
 }
 
-// Halved returns a cube with half the edge length, as used by Algorithm 1's
-// adaptive shrinking step.
-func (h Hypercube) Halved() Hypercube {
-	return Hypercube{Center: h.Center, Edge: h.Edge / 2}
-}
-
 // Sample draws one point independently and uniformly from the cube.
 func (h Hypercube) Sample(rng *rand.Rand) mat.Vec {
 	p := make(mat.Vec, len(h.Center))
@@ -88,15 +82,6 @@ func AxisPairs(x mat.Vec, h float64) [][2]mat.Vec {
 	return out
 }
 
-// UniformVec draws a d-dimensional vector with entries uniform in [lo, hi).
-func UniformVec(rng *rand.Rand, d int, lo, hi float64) mat.Vec {
-	v := make(mat.Vec, d)
-	for i := range v {
-		v[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return v
-}
-
 // GaussianVec draws a d-dimensional vector with N(mean, sd^2) entries.
 func GaussianVec(rng *rand.Rand, d int, mean, sd float64) mat.Vec {
 	v := make(mat.Vec, d)
@@ -108,16 +93,6 @@ func GaussianVec(rng *rand.Rand, d int, mean, sd float64) mat.Vec {
 
 // Perm returns a random permutation of [0, n).
 func Perm(rng *rand.Rand, n int) []int { return rng.Perm(n) }
-
-// Subsample returns k indices drawn uniformly without replacement from
-// [0, n). If k >= n it returns the identity permutation of all n indices.
-// The result order is random.
-func Subsample(rng *rand.Rand, n, k int) []int {
-	if k >= n {
-		return rng.Perm(n)
-	}
-	return rng.Perm(n)[:k]
-}
 
 // LinearPath returns steps+1 points evenly spaced from a to b inclusive, the
 // integration path of Integrated Gradients.

@@ -38,17 +38,6 @@ func TestHypercubeNegativeEdgePanics(t *testing.T) {
 	NewHypercube(mat.Vec{0}, -1)
 }
 
-func TestHypercubeHalved(t *testing.T) {
-	h := NewHypercube(mat.Vec{5}, 4)
-	hh := h.Halved()
-	if hh.Edge != 2 || hh.Center[0] != 5 {
-		t.Fatalf("Halved = %+v", hh)
-	}
-	if h.Edge != 4 {
-		t.Fatal("Halved mutated original")
-	}
-}
-
 func TestHypercubeCenterIsCopied(t *testing.T) {
 	c := mat.Vec{1, 2}
 	h := NewHypercube(c, 1)
@@ -134,16 +123,6 @@ func TestAxisPairs(t *testing.T) {
 	}
 }
 
-func TestUniformVecRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	v := UniformVec(rng, 1000, -2, 3)
-	for _, x := range v {
-		if x < -2 || x >= 3 {
-			t.Fatalf("value %v outside [-2, 3)", x)
-		}
-	}
-}
-
 func TestGaussianVecMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	v := GaussianVec(rng, 50000, 10, 2)
@@ -158,28 +137,6 @@ func TestGaussianVecMoments(t *testing.T) {
 	sd := math.Sqrt(ss / float64(len(v)))
 	if math.Abs(sd-2) > 0.1 {
 		t.Fatalf("sd = %v", sd)
-	}
-}
-
-func TestSubsample(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	idx := Subsample(rng, 100, 10)
-	if len(idx) != 10 {
-		t.Fatalf("len = %d", len(idx))
-	}
-	seen := map[int]bool{}
-	for _, i := range idx {
-		if i < 0 || i >= 100 {
-			t.Fatalf("index %d out of range", i)
-		}
-		if seen[i] {
-			t.Fatalf("duplicate index %d", i)
-		}
-		seen[i] = true
-	}
-	all := Subsample(rng, 5, 10)
-	if len(all) != 5 {
-		t.Fatalf("k>n should return all: len = %d", len(all))
 	}
 }
 

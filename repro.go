@@ -256,11 +256,13 @@ func ExtractSurrogateExact(model RegionModel, probes []Vec) (*Surrogate, error) 
 	return extract.HarvestExact(model, probes)
 }
 
-// CacheRegions wraps a white-box model so repeated ground-truth LocalAt
-// queries for instances in an already-seen region return the memoized
-// closed-form classifier instead of re-running the GEMM composition chain
-// (capacity <= 0 keeps every region). The returned classifiers are shared:
-// treat them as read-only.
+// CacheRegions wraps a white-box model in the region cache, so repeated
+// ground-truth LocalAt queries for instances in an already-seen region
+// return the memoized closed-form classifier instead of re-running the GEMM
+// composition chain (capacity <= 0 keeps every region). Every family gets
+// the same cache: a PLNN, MaxOut or LMT — or a type embedding one, such as
+// DemoModel — is keyed by its pattern hook, any other RegionModel by
+// RegionKey. The returned classifiers are shared: treat them as read-only.
 func CacheRegions(model RegionModel, capacity int) RegionModel {
 	return openbox.CacheRegionModelOpts(model, openbox.StoreOptions{Capacity: capacity})
 }

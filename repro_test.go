@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/plm"
 )
 
 // evalConfigForTest keeps workbench construction fast in facade tests.
@@ -27,6 +28,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if dist := interp.Features.L1Dist(truth); dist > 1e-4 {
 		t.Fatalf("facade interpretation off by %v", dist)
+	}
+
+	// DemoModel embeds a PLNN, so the region cache keys it through the
+	// PLNN's pattern hook.
+	if _, ok := RegionModel(model).(plm.PatternRegionModel); !ok {
+		t.Fatal("DemoModel does not carry the PLNN's pattern hook")
+	}
+	lin, err := CacheRegions(model, 0).LocalAt(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lin.Key != model.RegionKey(x) {
+		t.Fatalf("cached region key %q != RegionKey %q", lin.Key, model.RegionKey(x))
 	}
 }
 
