@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -336,13 +335,13 @@ func BenchmarkOpenAPI_OverHTTP_Unbatched(b *testing.B) {
 	}
 }
 
-// --- Cross-instance query aggregation ------------------------------------------
+// --- Pooled interpretation over HTTP ---------------------------------------------
 
-// benchPoolOverHTTP measures the server-counted HTTP round trips a pool of 8
-// concurrent interpreters costs, with per-job batching (each worker ships its
-// own sample sets) versus cross-instance aggregation (an api.Aggregator
-// coalesces all workers' probes into shared wire exchanges).
-func benchPoolOverHTTP(b *testing.B, aggregate bool) {
+// BenchmarkOpenAPI_OverHTTP_Pool measures a pool of 8 concurrent
+// interpreters against one served model, with the server-counted HTTP round
+// trips each run costs: one batched argmax pre-query, then each worker's
+// sample sets as one /batch per round.
+func BenchmarkOpenAPI_OverHTTP_Pool(b *testing.B) {
 	model := benchPLNNModel(34, 16)
 	srv := api.NewServer(model, "bench-pool")
 	ts := httptest.NewServer(srv)
@@ -359,19 +358,10 @@ func benchPoolOverHTTP(b *testing.B, aggregate bool) {
 	pool := core.NewPool(core.Config{Seed: 36}, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var m plm.Model = client
-		var agg *api.Aggregator
-		if aggregate {
-			agg = api.NewAggregator(client, api.AggregatorConfig{Window: 2 * time.Millisecond})
-			m = agg
-		}
-		for _, r := range pool.InterpretMany(m, xs) {
+		for _, r := range pool.InterpretMany(client, xs) {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}
-		}
-		if agg != nil {
-			agg.Close()
 		}
 	}
 	b.StopTimer()
@@ -382,68 +372,10 @@ func benchPoolOverHTTP(b *testing.B, aggregate bool) {
 	b.ReportMetric(float64(srv.Queries())/float64(b.N), "queries/op")
 }
 
-func BenchmarkOpenAPI_OverHTTP_Pool(b *testing.B)           { benchPoolOverHTTP(b, false) }
-func BenchmarkOpenAPI_OverHTTP_AggregatedPool(b *testing.B) { benchPoolOverHTTP(b, true) }
-
-// --- Adaptive flush window against a slow remote --------------------------------
-
-// benchLatentRemotePool interprets a 16-instance batch with a pool of 8
-// against a server with injected latency — the regime the adaptive window
-// exists for. A fixed window has to be guessed per deployment: here the
-// wire's real round trip is ~1ms, so the fixed 2ms default overshoots and
-// every flush wave pays the full 2ms wait anyway. The adaptive window
-// measures the RTT and settles at a fraction of it, flushing each wave as
-// soon as its probes have realistically arrived — same round trips, less
-// wall-clock per wave (and against a genuinely slow remote it grows toward
-// MaxWindow instead, bounding straggler round trips without retuning).
-func benchLatentRemotePool(b *testing.B, cfg api.AggregatorConfig) {
-	model := benchPLNNModel(37, 16)
-	srv := api.NewServer(model, "bench-latent-remote")
-	srv.Latency = 750 * time.Microsecond
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	client, err := api.Dial(ts.URL, nil, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(38))
-	xs := make([]mat.Vec, 16)
-	for i := range xs {
-		xs[i] = randVecBench(rng, 16)
-	}
-	pool := core.NewPool(core.Config{Seed: 39}, 8)
-	b.ResetTimer()
-	var window time.Duration
-	for i := 0; i < b.N; i++ {
-		agg := api.NewAggregator(client, cfg)
-		for _, r := range pool.InterpretMany(agg, xs) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-		agg.Close()
-		window = agg.CurrentWindow()
-	}
-	b.StopTimer()
-	if err := client.Err(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(srv.Requests())/float64(b.N), "round-trips/op")
-	b.ReportMetric(float64(window)/float64(time.Millisecond), "window-ms")
-}
-
-func BenchmarkOpenAPI_LatentRemote_FixedWindowPool(b *testing.B) {
-	benchLatentRemotePool(b, api.AggregatorConfig{Window: 2 * time.Millisecond})
-}
-
-func BenchmarkOpenAPI_LatentRemote_AdaptiveWindowPool(b *testing.B) {
-	benchLatentRemotePool(b, api.AggregatorConfig{Adaptive: true})
-}
-
 // --- Sharded replica serving -----------------------------------------------------
 
 // benchShardedBatch measures server-side evaluation of one wide batch — the
-// shape an aggregated pool ships — across replica counts. A single replica
+// shape a pool's argmax pre-query ships — across replica counts. A single replica
 // answers the batch serially; the shard router fans it out, so the speedup
 // tracks the machine's core count (a single-core box shows parity).
 func benchShardedBatch(b *testing.B, replicas int) {

@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/heatmap"
@@ -231,7 +230,7 @@ func writeIndex(stdout io.Writer, outDir, scale string, seed int64) error {
 	fmt.Fprintln(f, "| fig567_*.md | Figures 5-7: RD / WD / L1Dist grids |")
 	fmt.Fprintln(f, "| census_*.md | Region census (paper §II structure) |")
 	fmt.Fprintln(f, "| boundary_*.csv | Boundary profile (paper Figure 1, quantified) |")
-	fmt.Fprintln(f, "| remote_*.md | Over-the-API quality + wire cost (sharded, adaptive window) |")
+	fmt.Fprintln(f, "| remote_*.md | Over-the-API quality + wire cost per rep (4 shard replicas, queries and round trips) |")
 	fmt.Fprintf(f, "\n%d files in this run:\n\n", len(entries))
 	for _, e := range entries {
 		if e.Name() == "INDEX.md" {
@@ -416,19 +415,16 @@ func runBoundary(stdout io.Writer, entry eval.ModelEntry, ds, outDir string, xs 
 }
 
 // runRemote reruns the quality computation with the model genuinely behind
-// HTTP — served across 4 shard replicas, probed through the adaptive
-// aggregator via DialAggregated — and reports what each repetition cost on
-// the wire. The server is started once and reused across repetitions (the
-// paper-scale run repeats the remote experiment; spinning a fresh server
-// per repetition would re-pay startup, dialing and the adaptive window
-// warm-up every time, and the warmed window is visible in the per-rep
-// stats below).
+// HTTP — served across 4 shard replicas and probed through a plain
+// api.Client — and reports what each repetition cost on the wire. The
+// server is started once and reused across repetitions (the paper-scale run
+// repeats the remote experiment; spinning a fresh server per repetition
+// would re-pay startup and dialing every time).
 func runRemote(stdout io.Writer, entry eval.ModelEntry, ds, outDir string, xs []mat.Vec, seed int64, reps int) error {
 	if reps < 1 {
 		reps = 1
 	}
-	bench, err := eval.ServeRemote(entry.Model, strings.ToLower(entry.Name), 4,
-		api.AggregatorConfig{Adaptive: true})
+	bench, err := eval.ServeRemote(entry.Model, strings.ToLower(entry.Name), 4)
 	if err != nil {
 		return err
 	}
@@ -453,10 +449,10 @@ func runRemote(stdout io.Writer, entry eval.ModelEntry, ds, outDir string, xs []
 		return err
 	}
 	defer f.Close()
-	fmt.Fprintf(f, "# Over-the-API quality: %s / %s (4 replicas, adaptive window, %d reps on one persistent server)\n\n", ds, entry.Name, reps)
+	fmt.Fprintf(f, "# Over-the-API quality: %s / %s (4 replicas, %d reps on one persistent server)\n\n", ds, entry.Name, reps)
 	for i, wire := range wires {
-		fmt.Fprintf(f, "- rep %d: %d queries over %d round trips (%.1f queries/trip), window %v, RTT estimate %v\n",
-			i+1, wire.Queries, wire.RoundTrips, wire.QueriesPerTrip(), wire.Window, wire.RTT)
+		fmt.Fprintf(f, "- rep %d: %d queries over %d round trips (%.1f queries/trip)\n",
+			i+1, wire.Queries, wire.RoundTrips, wire.QueriesPerTrip())
 	}
 	fmt.Fprintln(f)
 	if err := eval.WriteQuality(f, rows); err != nil {

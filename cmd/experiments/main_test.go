@@ -35,8 +35,9 @@ func TestParseExperiments(t *testing.T) {
 }
 
 // goldenExperiments are the experiments the golden covers: every one whose
-// output is a deterministic function of the seed (fig2 writes PNG heatmaps
-// and remote reports wall-clock windows, so they stay out).
+// output is a deterministic function of the seed (fig2 writes PNG heatmaps,
+// and remote serves over loopback HTTP to repeat fig5-7's OpenAPI row, so
+// they stay out).
 const goldenExperiments = "table1,fig3,fig4,fig5,fig6,fig7,census,boundary"
 
 // TestSmallScaleMatchesGolden reruns the small-scale paper reproduction and

@@ -119,9 +119,9 @@ func pullAtlasSnapshot(ctx context.Context, router string, store *atlas.Atlas) (
 }
 
 // loadReplicas loads the model file n times — each replica owns its own
-// parameters — and wraps them in the shard router when n > 1, so a single
-// big coalesced batch from an aggregated client is evaluated across all
-// replicas in parallel instead of serially on one.
+// parameters — and wraps them in the shard router when n > 1, so one wide
+// /batch request (a pool's argmax pre-query, a bulk job) is evaluated across
+// all replicas in parallel instead of serially on one.
 func loadReplicas(path, kind string, n int, cfg api.ShardConfig) (plm.Model, error) {
 	if n <= 1 {
 		return modelio.Load(path, kind)
@@ -368,7 +368,8 @@ func main() {
 
 	if *logStats > 0 {
 		// The queries/round-trips ratio shows how well clients batch: an
-		// aggregated interpreter pool drives it far above 1.
+		// interpreter ships each d+k sample set as one /batch, which drives
+		// it far above 1.
 		go func() {
 			for range time.Tick(*logStats) {
 				q, rt := srv.Queries(), srv.Requests()

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -119,71 +118,11 @@ func TestIntegrationExtractThenServeSurrogate(t *testing.T) {
 	}
 }
 
-func TestIntegrationAggregatedPoolSavesRoundTrips(t *testing.T) {
-	// The batching acceptance gate: at pool size 8, routing every worker's
-	// probes through one aggregator must cost at most half the HTTP round
-	// trips of per-job batching (server-counted), while every recovered
-	// interpretation stays bit-identical.
-	rng := rand.New(rand.NewSource(46))
-	model := &openbox.PLNN{Net: nn.New(rng, 16, 32, 16, 4)}
-	xs := make([]Vec, 16)
-	for i := range xs {
-		xs[i] = make(Vec, 16)
-		for j := range xs[i] {
-			xs[i][j] = rng.NormFloat64()
-		}
-	}
-
-	run := func(aggregate bool) (int64, []core.Result) {
-		srv := api.NewServer(model, "agg-gate")
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		remote, err := DialModel(ts.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m Model = remote
-		var agg *api.Aggregator
-		if aggregate {
-			// A generous window keeps the workers' waves coalescing even on
-			// a slow CI machine; wall-clock latency is not under test here.
-			agg = api.NewAggregator(remote, api.AggregatorConfig{Window: 25 * time.Millisecond})
-			m = agg
-		}
-		results := core.NewPool(core.Config{Seed: 47}, 8).InterpretMany(m, xs)
-		if agg != nil {
-			agg.Close()
-		}
-		if err := remote.Err(); err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("instance %d failed: %v", i, r.Err)
-			}
-		}
-		return srv.Requests(), results
-	}
-
-	perJobTrips, plain := run(false)
-	aggTrips, batched := run(true)
-	t.Logf("round trips: per-job %d, aggregated %d", perJobTrips, aggTrips)
-	if aggTrips*2 > perJobTrips {
-		t.Fatalf("aggregation saved too little: %d round trips vs %d per-job (need >= 2x fewer)",
-			aggTrips, perJobTrips)
-	}
-	for i := range plain {
-		if !reflect.DeepEqual(plain[i].Interp, batched[i].Interp) {
-			t.Fatalf("instance %d: aggregated interpretation differs from per-job", i)
-		}
-	}
-}
-
 func TestIntegrationShardedReplicasBitIdentical(t *testing.T) {
 	// The sharding acceptance gate: the exact serving stack of
 	// `plmserve -replicas N` (shard router behind api.Server) must hand a
-	// pooled, aggregated InterpretMany bit-identical interpretations at
-	// every replica count — the split is pure routing, never science.
+	// pooled InterpretMany bit-identical interpretations at every replica
+	// count — the split is pure routing, never science.
 	rng := rand.New(rand.NewSource(48))
 	model := &openbox.PLNN{Net: nn.New(rng, 16, 32, 16, 4)}
 	xs := make([]Vec, 16)
@@ -206,12 +145,11 @@ func TestIntegrationShardedReplicasBitIdentical(t *testing.T) {
 		srv := api.NewServer(shard, "shard-gate")
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
-		agg, client, err := api.DialAggregated(ts.URL, nil, 0, api.AggregatorConfig{Adaptive: true})
+		client, err := api.Dial(ts.URL, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := core.NewPool(core.Config{Seed: 49}, 8).InterpretMany(agg, xs)
-		agg.Close()
+		results := core.NewPool(core.Config{Seed: 49}, 8).InterpretMany(client, xs)
 		if err := client.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +160,7 @@ func TestIntegrationShardedReplicasBitIdentical(t *testing.T) {
 		}
 		if replicas > 1 {
 			// The fan-out must actually engage: every replica slot serves
-			// part of the batched waves.
+			// part of the batched probes.
 			for slot, q := range shard.ReplicaQueries() {
 				if q == 0 {
 					t.Fatalf("replicas=%d: slot %d served nothing", replicas, slot)

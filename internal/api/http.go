@@ -153,7 +153,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Queries() int64 { return s.queries.Load() }
 
 // Requests returns the number of prediction round trips served — the
-// denominator of the batching win a query aggregator buys.
+// denominator of a client's queries-per-trip batching ratio.
 func (s *Server) Requests() int64 { return s.requests.Load() }
 
 // WireStats returns the server's wire counter set — mounted subsystems
@@ -399,10 +399,10 @@ const clientMaxBody = wire.DefaultMaxBody
 
 // defaultTransport is shared by every client Dial builds itself. The
 // stock http.DefaultTransport keeps only 2 idle connections per host —
-// an aggregator plus a shard fan-out against one server churns through
-// fresh TCP connections, and the binary codec's small frames only pipeline
-// when the connection stays warm. One shared pool, sized for the shard's
-// concurrency, keeps every dialed peer on persistent connections.
+// a pool of interpreters plus a shard fan-out against one server churns
+// through fresh TCP connections, and the binary codec's small frames only
+// pipeline when the connection stays warm. One shared pool, sized for the
+// shard's concurrency, keeps every dialed peer on persistent connections.
 var defaultTransport = &http.Transport{
 	Proxy:               http.ProxyFromEnvironment,
 	MaxIdleConns:        128,

@@ -104,53 +104,6 @@ func TestServerCountsRoundTrips(t *testing.T) {
 	if srv.Requests() != 2 || srv.Queries() != 5 {
 		t.Fatalf("server saw %d trips / %d queries, want 2 / 5", srv.Requests(), srv.Queries())
 	}
-	// Aggregating two callers' probes halves the trips a naive client pays.
-	agg := NewAggregator(c, AggregatorConfig{MaxBatch: 2, Window: time.Minute})
-	defer agg.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			agg.Predict(x)
-		}()
-	}
-	wg.Wait()
-	if srv.Requests() != 3 {
-		t.Fatalf("aggregated pair should add one trip, server saw %d", srv.Requests())
-	}
-}
-
-func TestDialAggregated(t *testing.T) {
-	srv, ts := newTestServer(t)
-	agg, client, err := DialAggregated(ts.URL, nil, 0, AggregatorConfig{MaxBatch: 3, Window: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-	if agg.Dim() != 4 || agg.Classes() != 3 {
-		t.Fatalf("meta not forwarded: %d/%d", agg.Dim(), agg.Classes())
-	}
-	local := testModel(100)
-	x := mat.Vec{0.2, 0.1, 0, 0.4}
-	out, err := agg.PredictBatch([]mat.Vec{x, x, x}) // exactly MaxBatch: one trip
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if !out[i].EqualApprox(local.Predict(x), 1e-12) {
-			t.Fatalf("item %d differs from local model", i)
-		}
-	}
-	if srv.Requests() != 1 {
-		t.Fatalf("server saw %d round trips, want 1", srv.Requests())
-	}
-	if client.Err() != nil {
-		t.Fatal(client.Err())
-	}
-	if _, _, err := DialAggregated("http://127.0.0.1:1", &http.Client{Timeout: 200 * time.Millisecond}, 0, AggregatorConfig{}); err == nil {
-		t.Fatal("unreachable server accepted")
-	}
 }
 
 func TestServerRejectsBadInput(t *testing.T) {
@@ -371,33 +324,6 @@ func TestEmptyBatchIsNotARoundTrip(t *testing.T) {
 	}
 	if srv.Requests() != 0 {
 		t.Fatalf("client shipped an empty batch: %d trips", srv.Requests())
-	}
-}
-
-func TestAdaptiveWindowConvergesOverLatentHTTP(t *testing.T) {
-	// The end-to-end form of the adaptive-window contract: against a
-	// served model with injected latency, DialAggregated's window must
-	// converge to a fraction of the genuinely observed HTTP round trip.
-	srv, ts := newTestServer(t)
-	srv.Latency = 8 * time.Millisecond
-	agg, client, err := DialAggregated(ts.URL, nil, 0, AggregatorConfig{Adaptive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-	x := mat.Vec{0.1, 0.2, 0.3, 0.4}
-	for i := 0; i < 6; i++ {
-		agg.Predict(x)
-	}
-	if err := client.Err(); err != nil {
-		t.Fatal(err)
-	}
-	rtt, window := agg.RTT(), agg.CurrentWindow()
-	if rtt < srv.Latency {
-		t.Fatalf("RTT estimate %v below injected server latency %v", rtt, srv.Latency)
-	}
-	if window < srv.Latency/4 || window > 20*time.Millisecond {
-		t.Fatalf("window %v out of range for %v RTT", window, rtt)
 	}
 }
 

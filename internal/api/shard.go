@@ -127,7 +127,8 @@ func (c *ShardConfig) setDefaults() {
 }
 
 // rttAlpha is the EWMA smoothing factor for per-backend chunk round-trip
-// times — same constant the aggregator uses for its flush window.
+// times: a genuine latency shift shows within a few chunks, while one slow
+// outlier moves the estimate under a third of the way.
 const rttAlpha = 0.3
 
 // backendState is the router's bookkeeping around one backend.
@@ -188,7 +189,7 @@ func (st *backendState) quarantined(now time.Time) bool {
 }
 
 // observeRTT folds one successful chunk round trip into the backend's EWMA,
-// seeding with the first sample like the aggregator's flush window.
+// seeding it with the first sample.
 func (st *backendState) observeRTT(d time.Duration) {
 	st.rttMu.Lock()
 	defer st.rttMu.Unlock()

@@ -385,7 +385,8 @@ func TestShardRejectsBadReplicaSets(t *testing.T) {
 	if _, err := NewShard(nil); err == nil {
 		t.Fatal("empty replica set accepted")
 	}
-	mismatched := []plm.Model{testModel(205), plainModel{&echoBatcher{}}}
+	oneFeature := plm.NewBinary(func(x mat.Vec) float64 { return x[0] }, 1)
+	mismatched := []plm.Model{testModel(205), oneFeature}
 	if _, err := NewShard(mismatched); err == nil {
 		t.Fatal("dim/class mismatch accepted")
 	}

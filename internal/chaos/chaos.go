@@ -1,7 +1,7 @@
 // Package chaos is the fault-injection harness behind the fleet acceptance
 // battery: seeded, deterministic fault plans wrapped around shard backends
 // and HTTP handlers. Where api.Flaky models a *lying* worker (degraded
-// answers the aggregator must out-vote), chaos models a *failing* one —
+// answers that arrive looking valid), chaos models a *failing* one —
 // latency spikes, hangs, hard errors, connection resets, truncated bodies,
 // flapping health — exactly the faults the router is contractually allowed
 // to route around without ever changing an answer. Every injected fault is

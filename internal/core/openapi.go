@@ -109,9 +109,9 @@ func (o *OpenAPI) Interpret(model plm.Model, x0 mat.Vec, c int) (*plm.Interpreta
 	if err := checkInstance(model, x0, c); err != nil {
 		return nil, err
 	}
-	// The anchor probe goes through the batch path so it coalesces with
-	// concurrent callers when the model aggregates queries (api.Aggregator);
-	// against a plain model this is the same single Predict as before.
+	// The anchor probe goes through the batch path so a batch-capable
+	// remote reports a failure as an error here instead of degrading it to
+	// a uniform answer; against a plain model this is one Predict.
 	ys, err := plm.PredictAll(model, []mat.Vec{x0})
 	if err != nil {
 		return nil, fmt.Errorf("core: anchor probe: %w", err)
@@ -153,7 +153,7 @@ func checkInstance(model plm.Model, x0 mat.Vec, c int) error {
 
 // interpret runs Algorithm 1 from a known anchor prediction y0. Each
 // iteration issues its d+k sample-set probes as one batch (plm.PredictAll),
-// so a batch-capable or aggregated model sees one round trip per iteration.
+// so a batch-capable model sees one round trip per iteration.
 // The design matrix depends only on the points, so it is filled and
 // factored while the probes are in flight (DESIGN.md §17).
 func (o *OpenAPI) interpret(model plm.Model, x0, y0 mat.Vec, c int) (*plm.Interpretation, error) {

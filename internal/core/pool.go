@@ -55,13 +55,12 @@ type Result struct {
 // a single round trip against a batch-capable service — and each prediction
 // doubles as the anchor probe of its interpretation, so no instance is
 // predicted twice. While one worker solves its linear systems, the others'
-// sample-set probes are in flight; wrap the model in an api.Aggregator to
-// coalesce those concurrent probes into shared round trips.
+// sample-set probes are in flight, each set as one PredictAll batch.
 //
 // A batch that fails fails every instance it carried, with the batch's
 // error. Remote models still degrade a failed single Predict to a uniform
-// response and record it stickily, so after a run against an api.Client or
-// api.Aggregator, check its Err before trusting the interpretations.
+// response and record it stickily, so after a run against an api.Client,
+// check its Err before trusting the interpretations.
 func (p *Pool) InterpretMany(model plm.Model, xs []mat.Vec) []Result {
 	results := make([]Result, len(xs))
 	if len(xs) == 0 {
@@ -107,13 +106,13 @@ func (p *Pool) InterpretMany(model plm.Model, xs []mat.Vec) []Result {
 	// Remote models degrade transport failures to uniform distributions, so
 	// a dead API turns the argmax pre-query into garbage anchors: every job
 	// would then "converge" on class 0 of a constant model. When the model
-	// exposes a sticky error (api.Client, api.Aggregator), check it now and
-	// fail every affected instance fast instead of burning MaxIterations of
-	// probes per job against a wire that is already known broken. A sticky
-	// error that predates this run is ambiguous — record() keeps only the
-	// first error, so a fresh failure would be invisible behind it — and
-	// silently wrong anchors are worse than a loud abort, so those fail too,
-	// with a message pointing at ResetErr.
+	// exposes a sticky error (api.Client), check it now and fail every
+	// affected instance fast instead of burning MaxIterations of probes per
+	// job against a wire that is already known broken. A sticky error that
+	// predates this run is ambiguous — record() keeps only the first error,
+	// so a fresh failure would be invisible behind it — and silently wrong
+	// anchors are worse than a loud abort, so those fail too, with a
+	// message pointing at ResetErr.
 	if se, ok := model.(interface{ Err() error }); ok {
 		if err := se.Err(); err != nil {
 			wrap := func() error { return fmt.Errorf("core: argmax pre-query failed: %w", err) }

@@ -112,35 +112,6 @@ func TestPoolDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestPoolAggregationPreservesResults(t *testing.T) {
-	// The determinism regression the batching work must not break: for a
-	// fixed worker count, interpretations through an aggregator are
-	// bit-identical to interpretations against the bare model.
-	model := plnnModel(93, 6, 8, 3)
-	rng := rand.New(rand.NewSource(94))
-	xs := make([]mat.Vec, 10)
-	for i := range xs {
-		xs[i] = randVec(rng, 6)
-	}
-	plain := NewPool(Config{Seed: 95}, 4).InterpretMany(model, xs)
-
-	agg := api.NewAggregator(model, api.AggregatorConfig{Window: time.Millisecond})
-	defer agg.Close()
-	batched := NewPool(Config{Seed: 95}, 4).InterpretMany(agg, xs)
-
-	for i := range plain {
-		if plain[i].Err != nil || batched[i].Err != nil {
-			t.Fatalf("instance %d failed: %v / %v", i, plain[i].Err, batched[i].Err)
-		}
-		if !interpEqual(plain[i].Interp, batched[i].Interp) {
-			t.Fatalf("instance %d: aggregated result differs from plain", i)
-		}
-	}
-	if agg.Probes() == 0 {
-		t.Fatal("aggregator was bypassed")
-	}
-}
-
 func TestPoolFailsFastOnDeadAPI(t *testing.T) {
 	// Regression: a dead remote degrades the argmax pre-query to uniform
 	// distributions, so every job used to "converge" happily on garbage

@@ -1,9 +1,9 @@
 package eval
 
 import (
+	"math"
 	"testing"
 
-	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/openbox"
 	"repro/internal/plm"
@@ -11,15 +11,15 @@ import (
 
 func TestQualityOverAPIMatchesLocal(t *testing.T) {
 	// The remote harness must not change the science: OpenAPI over a
-	// sharded HTTP hop with an adaptive window stays exact, and the wire
-	// stats prove the probes actually batched.
+	// sharded HTTP hop stays exact, and the wire stats prove the probes
+	// batched exactly as the interpreter issued them.
 	w, err := NewWorkbench(WorkbenchConfig{Size: 8, PerClass: 20, NNEpochs: 8, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
 	xs := w.Test.X[:3]
 	methods := []plm.Interpreter{core.New(core.Config{Seed: 32})}
-	bench, err := ServeRemote(w.PLNN, "remote-plnn", 2, api.AggregatorConfig{Adaptive: true})
+	bench, err := ServeRemote(w.PLNN, "remote-plnn", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,11 @@ func TestQualityOverAPIMatchesLocal(t *testing.T) {
 	if wire.QueriesPerTrip() < 2 {
 		t.Fatalf("queries/trip = %v, batching did not engage", wire.QueriesPerTrip())
 	}
-	if wire.Window <= 0 {
-		t.Fatalf("no window in force: %+v", wire)
+	// Per instance: one /predict argmax, one anchor and one /batch per
+	// round, so the harness neither splits nor merges a batch.
+	n := float64(len(xs))
+	if iters := math.Round(r.AvgIterations * n); float64(wire.RoundTrips) != 2*n+iters {
+		t.Fatalf("round trips = %d, want 2·%v + %v iterations", wire.RoundTrips, n, iters)
 	}
 }
 
@@ -56,7 +59,7 @@ func TestServeRemoteLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bench, err := ServeRemote(w.PLNN, "lifecycle", 3, api.AggregatorConfig{})
+	bench, err := ServeRemote(w.PLNN, "lifecycle", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +78,7 @@ func TestServeRemoteLifecycle(t *testing.T) {
 	if err := bench.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A second Close must not panic the aggregator or the server.
+	// A second Close must not panic the server.
 	_ = bench.Close()
 }
 
@@ -87,7 +90,7 @@ func TestRemoteBenchReusedAcrossRepetitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bench, err := ServeRemote(w.PLNN, "persistent", 2, api.AggregatorConfig{Adaptive: true})
+	bench, err := ServeRemote(w.PLNN, "persistent", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

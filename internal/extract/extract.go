@@ -145,8 +145,8 @@ func (e *Extractor) harvestOne(model plm.Model, probe mat.Vec) (*Region, error) 
 // HarvestPool is Harvest on the concurrent fast path: probes are interpreted
 // by a core.Pool of workers sharing one batched argmax pre-query, so the
 // bulk extraction workload rides the same batching layers as every other
-// pool job — wrap model in an api.Aggregator against a sharded remote and
-// the whole harvest collapses into a few wide round trips. Each probe's one
+// pool job: one round trip for every probe's argmax, then one per sample
+// set against a batch-capable remote. Each probe's one
 // converged interpretation (of the predicted class) is reused for every
 // class, InterpretAll-style, via the antisymmetry of the pair differences;
 // no extra queries per class.

@@ -179,7 +179,7 @@ type Runner struct {
 }
 
 // retryAfterAlpha weights the published mean job run time toward recent
-// completions — the same discount the API aggregator applies to latency.
+// completions — the same discount the shard router applies to backend RTTs.
 const retryAfterAlpha = 0.3
 
 // observeRun folds one completed job's run duration into the mean.

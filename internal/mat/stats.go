@@ -80,44 +80,3 @@ func Quantile(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return math.FMA(sorted[hi], frac, sorted[lo]*(1-frac))
 }
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi]. Values
-// outside the range are clamped into the first/last bin. It panics if
-// nbins <= 0 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 {
-		panic("mat: Histogram needs nbins > 0")
-	}
-	if hi <= lo {
-		panic("mat: Histogram needs hi > lo")
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
-// MeanVec returns the entrywise mean of the given equal-length vectors.
-// It panics on an empty argument list or ragged lengths.
-func MeanVec(vs []Vec) Vec {
-	if len(vs) == 0 {
-		panic("mat: MeanVec of empty set")
-	}
-	out := make(Vec, len(vs[0]))
-	for _, v := range vs {
-		if len(v) != len(out) {
-			panic("mat: MeanVec ragged input")
-		}
-		out.AddInPlace(v)
-	}
-	return out.ScaleInPlace(1 / float64(len(vs)))
-}

@@ -63,51 +63,3 @@ func TestQuantilePanicsOnEmpty(t *testing.T) {
 	}()
 	Quantile(nil, 0.5)
 }
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.6, 0.9, -5, 5}
-	h := Histogram(xs, 0, 1, 2)
-	// -5 clamps into bin 0; 5 and 0.9 and 0.6 into bin 1.
-	if h[0] != 3 || h[1] != 3 {
-		t.Fatalf("Histogram = %v", h)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { Histogram(nil, 0, 1, 0) },
-		func() { Histogram(nil, 1, 0, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestMeanVec(t *testing.T) {
-	got := MeanVec([]Vec{{1, 2}, {3, 4}})
-	if !got.EqualApprox(Vec{2, 3}, 1e-15) {
-		t.Fatalf("MeanVec = %v", got)
-	}
-}
-
-func TestMeanVecPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { MeanVec(nil) },
-		func() { MeanVec([]Vec{{1}, {1, 2}}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}

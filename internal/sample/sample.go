@@ -82,15 +82,6 @@ func AxisPairs(x mat.Vec, h float64) [][2]mat.Vec {
 	return out
 }
 
-// GaussianVec draws a d-dimensional vector with N(mean, sd^2) entries.
-func GaussianVec(rng *rand.Rand, d int, mean, sd float64) mat.Vec {
-	v := make(mat.Vec, d)
-	for i := range v {
-		v[i] = mean + sd*rng.NormFloat64()
-	}
-	return v
-}
-
 // Perm returns a random permutation of [0, n).
 func Perm(rng *rand.Rand, n int) []int { return rng.Perm(n) }
 

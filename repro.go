@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -156,21 +155,6 @@ func CountQueries(model Model) *api.Counter { return api.NewCounter(model) }
 // count. See core.Pool.
 func NewPool(cfg OpenAPIConfig, workers int) *core.Pool { return core.NewPool(cfg, workers) }
 
-// AggregateQueries wraps a model so that probe batches from concurrent
-// interpretation jobs coalesce into shared round trips — point a NewPool
-// at the returned aggregator and close it when the jobs finish. maxBatch
-// and window zero-default to the aggregator's settings.
-func AggregateQueries(model Model, maxBatch int, window time.Duration) *api.Aggregator {
-	return api.NewAggregator(model, api.AggregatorConfig{MaxBatch: maxBatch, Window: window})
-}
-
-// AggregateQueriesAdaptive is AggregateQueries with the flush window tracked
-// from observed round-trip time instead of fixed: local models flush
-// near-instantly, slow remotes batch aggressively. See api.AggregatorConfig.
-func AggregateQueriesAdaptive(model Model) *api.Aggregator {
-	return api.NewAggregator(model, api.AggregatorConfig{Adaptive: true})
-}
-
 // ShardModel routes prediction traffic across interchangeable replicas of
 // one model: /batch-style bulk requests are split into chunks evaluated on
 // all replicas in parallel and merged back in order. Serve the returned
@@ -234,10 +218,10 @@ func ExtractSurrogate(model Model, probes []Vec) (*Surrogate, error) {
 }
 
 // ExtractSurrogatePooled is ExtractSurrogate across a pool of concurrent
-// workers — the bulk-extraction fast path. Wrap the model with
-// AggregateQueriesAdaptive (and serve it sharded) to collapse the harvest
-// into a few wide round trips; results are deterministic for a fixed
-// worker count.
+// workers — the bulk-extraction fast path. The argmax pre-query for every
+// probe ships as one batch and each sample set as one batch per round, so
+// a served model pays one round trip per interpretation round; results
+// are deterministic for a fixed worker count.
 func ExtractSurrogatePooled(model Model, probes []Vec, workers int) (*Surrogate, error) {
 	return extract.New(core.Config{}).HarvestPool(model, probes, workers)
 }
